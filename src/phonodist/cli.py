@@ -61,14 +61,22 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(text + "\n", out)
 
 
-def _inventory_arg(value: str) -> int:
+def _int_arg(value: str, low: int, what: str) -> int:
     try:
         n = int(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from exc
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"inventory size must be >= 2, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {n}")
     return n
+
+
+def _inventory_arg(value: str) -> int:
+    return _int_arg(value, 2, "inventory size")
+
+
+def _jobs_arg(value: str) -> int:
+    return _int_arg(value, 1, "job count")
 
 
 def _positive_arg(value: str) -> float:
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="compensation report over many frequency tables")
     p.add_argument("tables", nargs="+")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=_jobs_arg, default=4)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
 

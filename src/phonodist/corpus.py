@@ -8,6 +8,13 @@ containing it).  Prefix contexts are word-internal and anchored at word
 start; an end-of-word marker is appended internally so every word is a
 leaf of the prefix tree, but the marker is not a phoneme and gets no
 features.
+
+One prefix tree and one pass serve every phoneme: ``build_feature_table``
+builds the tree once, reads all segmental information off a single
+traversal of its edges, and gathers every phoneme's word set in a single
+pass over the entries.  ``segmental_information`` and
+``lexical_conditional_diversity`` are views that read one phoneme's value
+off the same code, so each call costs a full pass.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,6 +48,7 @@ __all__ = [
 END_MARKER = "#"
 
 Word = tuple[str, ...]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -104,19 +112,45 @@ class _PrefixTree:
                 children[sym] = children.get(sym, 0) + count
                 prefix = prefix + (sym,)
 
-    def out_weight(self, prefix: Word) -> int:
-        return sum(self.edge[prefix].values())
-
     def word_entropy(self, prefix: Word) -> float:
         """Plug-in entropy over words consistent with the prefix."""
         return plugin_estimate(np.asarray(self.word_counts[prefix], dtype=float))
 
-    def contexts_of(self, sym: str) -> list[tuple[Word, int]]:
-        return [
-            (prefix, children[sym])
-            for prefix, children in self.edge.items()
-            if sym in children
-        ]
+    def segmental_information(self) -> dict[str, float]:
+        """Average surprisal of every phoneme given the prefixes preceding it.
+
+        One sweep sums each symbol's context weight W_p; a second, in the
+        same edge order, accumulates (w/W_p)·ln(out/w).  Word-final
+        positions count through the end marker, so the continuation mass
+        at each context includes words ending there.
+        """
+        weight: dict[str, int] = defaultdict(int)
+        for children in self.edge.values():
+            for sym, w in children.items():
+                weight[sym] += w
+        del weight[END_MARKER]
+        info = dict.fromkeys(weight, 0.0)
+        for children in self.edge.values():
+            out = sum(children.values())
+            for sym, w in children.items():
+                if sym in info:
+                    info[sym] += (w / weight[sym]) * math.log(out / w)
+        return info
+
+
+def _word_sets(lexicon: PhonemizedLexicon) -> dict[str, list[int]]:
+    """Token counts of the words containing each phoneme, in entry order."""
+    sets: dict[str, list[int]] = defaultdict(list)
+    for seq, count in lexicon.entries:
+        for p in set(seq):
+            sets[p].append(count)
+    return sets
+
+
+def _occurring(values: Mapping[str, _T], p: str) -> _T:
+    if p not in values:
+        raise DomainError(f"phoneme {p!r} does not occur in the lexicon")
+    return values[p]
 
 
 def phoneme_probabilities(lexicon: PhonemizedLexicon) -> dict[str, float]:
@@ -139,26 +173,17 @@ def physical_cost(p: str, table: "IncidenceTable") -> float:
 def segmental_information(lexicon: PhonemizedLexicon, p: str) -> float:
     """Average surprisal of p given the word-initial prefixes preceding it.
 
-    Word-final positions count through the end marker, so the continuation
-    mass at each context includes words ending there.
+    Reads one value off the all-phoneme traversal, so it costs a full pass.
     """
-    tree = _PrefixTree(lexicon)
-    contexts = tree.contexts_of(p)
-    if not contexts:
-        raise DomainError(f"phoneme {p!r} does not occur in the lexicon")
-    weight_total = sum(w for _, w in contexts)
-    info = 0.0
-    for prefix, w in contexts:
-        info += (w / weight_total) * math.log(tree.out_weight(prefix) / w)
-    return info
+    return _occurring(_PrefixTree(lexicon).segmental_information(), p)
 
 
 def lexical_conditional_diversity(lexicon: PhonemizedLexicon, p: str) -> float:
-    """CWJ entropy of the token counts of words containing the phoneme."""
-    counts = [count for seq, count in lexicon.entries if p in seq]
-    if not counts:
-        raise DomainError(f"phoneme {p!r} does not occur in the lexicon")
-    return cwj_estimate(np.asarray(counts, dtype=np.int64))
+    """CWJ entropy of the token counts of words containing the phoneme.
+
+    Reads one word set off the all-phoneme pass, so it costs a full pass.
+    """
+    return cwj_estimate(_occurring(_word_sets(lexicon), p))
 
 
 @dataclass(frozen=True)
@@ -275,8 +300,10 @@ def build_feature_table(
     mass = sum(probs[p] for p in matched)
     observed = np.array([probs[p] / mass for p in matched])
     cost = np.array([physical_cost(p, incidence) for p in matched])
-    seg = np.array([segmental_information(lexicon, p) for p in matched])
-    lex = np.array([lexical_conditional_diversity(lexicon, p) for p in matched])
+    seg_info = _PrefixTree(lexicon).segmental_information()
+    word_sets = _word_sets(lexicon)
+    seg = np.array([seg_info[p] for p in matched])
+    lex = np.array([cwj_estimate(word_sets[p]) for p in matched])
     return FeatureTable(
         phonemes=tuple(matched),
         observed_prob=observed,

@@ -244,6 +244,15 @@ class TestReport:
             assert row["alpha_hat"] is not None
             assert 0.0 < row["relative_entropy"] <= 1.0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["report", data_path("kaiwa.tsv"), "--jobs", jobs])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs" in err
+        assert "Traceback" not in err
+
     def test_deterministic(self, capsys, tmp_path):
         tables = [data_path("kaiwa.tsv"), data_path("samoan.tsv"), data_path("swedish.tsv")]
         a, b = tmp_path / "a.json", tmp_path / "b.json"

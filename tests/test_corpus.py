@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phonodist.corpus import (
@@ -270,6 +270,22 @@ class TestFeatureTable:
             assert base.cost[i] == pytest.approx(cost, abs=1e-12)
             assert base.seg_info[i] == pytest.approx(seg, abs=1e-12)
             assert base.lex_div[i] == pytest.approx(lex, abs=1e-12)
+
+    @given(words_strategy, st.sets(st.sampled_from("abcde"), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_matches_oracles(self, rows, unlisted):
+        lex = PhonemizedLexicon.build(rows)
+        incidence = IncidenceTable({p: 0.5 for p in "abcde" if p not in unlisted})
+        matched = [p for p in lex.inventory if p not in unlisted]
+        assume(len(matched) >= 2)
+        table = build_feature_table(lex, incidence, coverage_floor=0.0)
+        assert set(table.excluded) == lex.inventory & unlisted
+        for i, p in enumerate(table.phonemes):
+            assert table.seg_info[i] == pytest.approx(
+                seg_info_oracle(lex.entries, p), abs=1e-12
+            )
+            word_set = [c for seq, c in lex.entries if p in seq]
+            assert table.lex_div[i] == cwj_estimate(np.asarray(word_set, dtype=np.int64))
 
 
 class TestConstraintExpectations:
