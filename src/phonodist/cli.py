@@ -17,6 +17,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, corpus, dirichlet, entropy, io, maxent
 from .errors import (
     CoverageError,
@@ -383,6 +385,9 @@ def main(argv=None) -> int:
     except (DomainError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INGEST
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return _EXIT_NUMERICAL
     return 0
 
 

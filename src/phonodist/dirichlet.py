@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
-from scipy.optimize import brentq
+from scipy import special
 
 from .errors import DomainError, InfeasibleError, NumericalError
 
@@ -125,7 +124,7 @@ def solve_alpha(entropy_hat: float, n: int, tol: float = 1e-12) -> float:
 
     The map alpha -> expected entropy is strictly increasing with range
     (0, ln n), so the root is unique; it is bracketed on a log-alpha grid
-    and polished with Brent's method.
+    and found by bisection in log alpha.
     """
     n = _check_inventory(n)
     h_max = math.log(n)
@@ -147,8 +146,11 @@ def solve_alpha(entropy_hat: float, n: int, tol: float = 1e-12) -> float:
         hi += 10
     if gap(lo) > 0 or gap(hi) < 0:
         raise NumericalError("failed to bracket the concentration root")
-    root = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    alpha = math.exp(root)
+    # stop at the width Brent's method was run to (xtol=1e-15, rtol=8.9e-16)
+    while hi - lo > 1e-15 + 8.9e-16 * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
+    alpha = math.exp(0.5 * (lo + hi))
     if abs(expected_entropy(DirichletSpec(n, alpha)) - entropy_hat) > max(tol, 1e-10):
         raise NumericalError("concentration root did not reach tolerance")
     return alpha
@@ -219,6 +221,7 @@ def _gamma_orderstat_raw_moment(n: int, alpha: float, j: int, power: int) -> flo
     t**(alpha-1) endpoint singularity is absorbed with the change of
     variables u = t**alpha before the density is evaluated.
     """
+    from scipy import integrate  # imported here so only this path pays for it
     log_comb = special.gammaln(n + 1) - special.gammaln(j) - special.gammaln(n - j + 1)
     log_gamma_norm = special.gammaln(alpha)
 

@@ -7,6 +7,7 @@ number.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from pathlib import Path
 
@@ -198,6 +199,8 @@ def load_fit_points(path: str | Path) -> list[tuple[float, float]]:
             n, alpha = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: non-numeric fit row") from exc
+        if not (0 < n < math.inf and 0 < alpha < math.inf):  # also rejects nan
+            raise IngestError(f"{path}:{lineno}: n and alpha_hat must be finite and > 0")
         points.append((n, alpha))
     if len(points) < 3:
         raise IngestError(f"{path}: regression needs at least 3 fit rows")

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .errors import DomainError, InfeasibleError, NumericalError
@@ -93,6 +92,7 @@ def check_feasibility(problem: MaxEntProblem) -> None:
             )
     if problem.n_constraints == 0:
         return
+    from scipy.optimize import linprog  # imported here so only this path pays for it
     m = feats.shape[0]
     a_eq = np.vstack([np.ones(m), feats.T])
     b_eq = np.concatenate([[1.0], targets])

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phonodist
 from phonodist import cli, corpus, dirichlet, entropy, io, maxent
 
 DATA = files("phonodist") / "data"
@@ -116,6 +121,16 @@ class TestReconstruct:
             cli.main(["reconstruct", "--n", "10", "--gamma", "1.5"])
         assert excinfo.value.code == 2
 
+    def test_overflow_exits_4_with_one_line(self, capsys):
+        # the moment quadrature overflows for this small alpha; the library
+        # raises OverflowError and the CLI reports it as a numerical failure
+        code, out, err = run(capsys, "reconstruct", "--n", "200", "--coeff-a", "0.01")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "OverflowError" in err
+        assert "Traceback" not in err
+
 
 class TestEstimateEntropy:
     def test_matches_library(self, capsys):
@@ -222,6 +237,19 @@ class TestRegress:
         code, _, err = run(capsys, "regress", str(fits))
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-2"])
+    @pytest.mark.parametrize("column", ["n", "alpha_hat"])
+    def test_nonfinite_or_nonpositive_row_exits_3(self, capsys, tmp_path, bad, column):
+        row = f"{bad}\t0.5" if column == "n" else f"20\t{bad}"
+        fits = tmp_path / "fits.tsv"
+        fits.write_text(
+            f"n\talpha_hat\n11\t2.0\n{row}\n13\t1.8\n15\t1.7\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, "regress", str(fits))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {fits}:3: n and alpha_hat must be finite and > 0\n"
+
 
 class TestReport:
     def test_five_bundled_languages(self, capsys):
@@ -280,3 +308,48 @@ class TestRoundTrip:
         loaded = io.load_frequency_table(str(table))
         expected = dirichlet.solve_alpha(entropy.cwj_entropy(loaded).value, n)
         assert payload["alpha_hat"] == float(f"{expected:.12g}")
+
+
+_IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+from phonodist import cli
+
+data, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+out = ["-o", str(tmp / "out")]
+tables = [str(data / f"{name}.tsv") for name in ("amenglish", "bengali", "kaiwa", "samoan", "swedish")]
+fits = tmp / "fits.tsv"
+fits.write_text("11\\t2.0\\n40\\t0.59\\n160\\t0.16\\n", encoding="utf-8")
+features = ["features", str(data / "toy_a.lex"), str(data / "toy_incidence.tsv")]
+codes = [
+    cli.main(["predict-alpha", "--n", "40", *out]),
+    cli.main(["estimate-entropy", tables[3], *out]),
+    cli.main([*features, "-o", str(tmp / "features.tsv")]),
+    cli.main(["regress", str(fits), *out]),
+    cli.main(["fit-alpha", tables[3], *out]),
+    cli.main(["report", *tables, *out]),
+]
+watched = ("scipy.optimize", "scipy.integrate")
+before = [m for m in watched if m in sys.modules]
+codes.append(cli.main(["maxent", str(tmp / "features.tsv"), *out]))
+after = [m for m in watched if m in sys.modules]
+print(json.dumps({"codes": codes, "before": before, "after": after}))
+"""
+
+
+def test_six_subcommands_never_import_scipy_optimize_or_integrate(tmp_path):
+    # one fresh interpreter, so nothing pytest has already imported counts
+    src = Path(phonodist.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(DATA), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 7
+    assert result["before"] == []
+    # maxent's feasibility LP does load scipy.optimize, so the probe can see it
+    assert result["after"] == ["scipy.optimize"]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -116,6 +117,42 @@ class TestSolveAlpha:
     def test_identity_on_grid(self, alpha, n):
         recovered = solve_alpha(expected_entropy(DirichletSpec(n, alpha)), n)
         assert recovered == pytest.approx(alpha, rel=1e-9)
+
+    def test_against_mpmath_root(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(target, n):
+            # root of psi(n a + 1) - psi(a + 1) = target in x = ln a, 30 digits
+            with mpmath.workdps(30):
+                def gap(x):
+                    a = mpmath.exp(x)
+                    return mpmath.digamma(n * a + 1) - mpmath.digamma(a + 1) - target
+
+                return float(mpmath.exp(mpmath.findroot(gap, (-40, 40), solver="pegasus")))
+
+        rng = random.Random(2026)
+        cases = [
+            (n, frac)
+            for n in (2, 3, 7, 40, 160, 1000, 3000)
+            for frac in (1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999)
+        ]
+        cases += [(rng.randint(2, 3000), rng.uniform(1e-3, 0.999)) for _ in range(20)]
+        for n, frac in cases:
+            target = frac * math.log(n)
+            expected = oracle(target, n)
+            assert solve_alpha(target, n) == pytest.approx(expected, rel=1e-10), (n, frac)
+
+    @pytest.mark.parametrize("frac", [1e-9, 1.0 - 1e-12])
+    @pytest.mark.parametrize("n", [2, 3, 11, 160, 1000, 3000])
+    def test_flat_extremes_still_pass_the_residual_check(self, n, frac):
+        # near both ends the digamma difference loses most of its digits to
+        # cancellation, so alpha is only loosely determined; the solver must
+        # still return a root that passes the residual check, as the
+        # Brent-based solver did at every n here, and not raise
+        target = frac * math.log(n)
+        alpha = solve_alpha(target, n)
+        assert math.isfinite(alpha) and alpha > 0
+        assert abs(expected_entropy(DirichletSpec(n, alpha)) - target) <= 1e-10
 
 
 class TestPredictAlpha:
