@@ -53,6 +53,6 @@ from .errors import (
     NumericalError,
     PhonodistError,
 )
-from .maxent import MaxEntProblem, MaxEntSolution, guessed_distribution, solution_entropy, solve
+from .maxent import MaxEntProblem, MaxEntSolution, guessed_distribution, solve
 
 __version__ = "0.1.0"

@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 usage, 3 ingest, 4 numerical/infeasibility.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _EXIT_INGEST = 3
 _EXIT_NUMERICAL = 4
@@ -63,22 +63,14 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(text + "\n", out)
 
 
-def _int_arg(value: str, low: int, what: str) -> int:
+def _inventory_arg(value: str) -> int:
     try:
         n = int(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from exc
-    if n < low:
-        raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {n}")
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"inventory size must be >= 2, got {n}")
     return n
-
-
-def _inventory_arg(value: str) -> int:
-    return _int_arg(value, 2, "inventory size")
-
-
-def _jobs_arg(value: str) -> int:
-    return _int_arg(value, 1, "job count")
 
 
 def _positive_arg(value: str) -> float:
@@ -242,33 +234,17 @@ def cmd_regress(args) -> None:
     fit = analysis.loglog_regression(points)
     law = analysis.implied_scaling_law(fit)
     payload = {
-        "fit": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "se_slope": fit.se_slope,
-            "se_intercept": fit.se_intercept,
-            "t_slope": fit.t_slope,
-            "p_slope": fit.p_slope,
-            "n_points": fit.n_points,
-        },
-        "law": {
-            "coeff_a": law.coeff_a,
-            "exponent_b": law.exponent_b,
-            "se_a": law.se_a,
-            "se_b": law.se_b,
-        },
+        "fit": dataclasses.asdict(fit),
+        "law": dataclasses.asdict(law),
         "config": {},
     }
     _emit_json(payload, args.output)
 
 
 def cmd_report(args) -> None:
-    def load(path: str):
-        return Path(path).stem, io.load_frequency_table(path)
-
-    with ThreadPoolExecutor(max_workers=min(args.jobs, len(args.tables))) as pool:
-        loaded = list(pool.map(load, args.tables))  # input order preserved
-    languages = [(name, counts, None) for name, counts in loaded]
+    languages = [
+        (Path(path).stem, io.load_frequency_table(path), None) for path in args.tables
+    ]
     report = analysis.compensation_report(languages)
     rows = []
     for row in report.rows:
@@ -288,24 +264,11 @@ def cmd_report(args) -> None:
         "languages": rows,
         "regression": None,
         "law": None,
-        "config": {"jobs": args.jobs},
+        "config": {},
     }
     if report.regression is not None:
-        payload["regression"] = {
-            "slope": report.regression.slope,
-            "intercept": report.regression.intercept,
-            "se_slope": report.regression.se_slope,
-            "se_intercept": report.regression.se_intercept,
-            "t_slope": report.regression.t_slope,
-            "p_slope": report.regression.p_slope,
-            "n_points": report.regression.n_points,
-        }
-        payload["law"] = {
-            "coeff_a": report.law.coeff_a,
-            "exponent_b": report.law.exponent_b,
-            "se_a": report.law.se_a,
-            "se_b": report.law.se_b,
-        }
+        payload["regression"] = dataclasses.asdict(report.regression)
+        payload["law"] = dataclasses.asdict(report.law)
     _emit_json(payload, args.output)
 
 
@@ -365,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="compensation report over many frequency tables")
     p.add_argument("tables", nargs="+")
-    p.add_argument("--jobs", type=_jobs_arg, default=4)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
 

@@ -101,20 +101,12 @@ class _PrefixTree:
 
     def __init__(self, lexicon: PhonemizedLexicon):
         self.edge: dict[Word, dict[str, int]] = defaultdict(dict)
-        self.word_counts: dict[Word, list[int]] = defaultdict(list)
         for seq, count in lexicon.entries:
-            aug = seq + (END_MARKER,)
-            for i in range(len(aug) + 1):
-                self.word_counts[aug[:i]].append(count)
             prefix: Word = ()
-            for sym in aug:
+            for sym in seq + (END_MARKER,):
                 children = self.edge[prefix]
                 children[sym] = children.get(sym, 0) + count
                 prefix = prefix + (sym,)
-
-    def word_entropy(self, prefix: Word) -> float:
-        """Plug-in entropy over words consistent with the prefix."""
-        return plugin_estimate(np.asarray(self.word_counts[prefix], dtype=float))
 
     def segmental_information(self) -> dict[str, float]:
         """Average surprisal of every phoneme given the prefixes preceding it.
@@ -210,15 +202,25 @@ def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
     sum exactly to the plug-in lexical entropy.
     """
     tree = _PrefixTree(lexicon)
+    word_counts: dict[Word, list[int]] = defaultdict(list)
+    for seq, count in lexicon.entries:
+        aug = seq + (END_MARKER,)
+        for i in range(len(aug) + 1):
+            word_counts[aug[:i]].append(count)
+
+    def word_entropy(prefix: Word) -> float:
+        """Plug-in entropy over words consistent with the prefix."""
+        return plugin_estimate(np.asarray(word_counts[prefix], dtype=float))
+
     total_tokens = lexicon.total_tokens
     gains: dict[tuple[str, Word], float] = {}
     weighted_total = 0.0
     phoneme_weight: dict[str, float] = defaultdict(float)
     phoneme_sum: dict[str, float] = defaultdict(float)
     for prefix, children in tree.edge.items():
-        h_here = tree.word_entropy(prefix)
+        h_here = word_entropy(prefix)
         for sym, w in children.items():
-            gain = h_here - tree.word_entropy(prefix + (sym,))
+            gain = h_here - word_entropy(prefix + (sym,))
             gains[(sym, prefix)] = gain
             weighted_total += (w / total_tokens) * gain
             if sym != END_MARKER:
@@ -230,7 +232,7 @@ def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
     return LexicalGains(
         gains=gains,
         per_phoneme=per_phoneme,
-        lexical_entropy=tree.word_entropy(()),
+        lexical_entropy=word_entropy(()),
         weighted_total=weighted_total,
     )
 

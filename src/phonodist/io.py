@@ -1,8 +1,12 @@
 """Readers for the on-disk formats consumed by the CLI.
 
-All files are UTF-8 text; phoneme labels are opaque strings normalized
-to NFC on ingest.  Malformed rows raise IngestError with a 1-based line
-number.
+All files are UTF-8, tab-separated text; blank lines and lines starting
+with ``#`` are skipped.  Phoneme labels are opaque strings normalized to
+NFC on ingest.  Counts are non-negative integers no larger than 2**63-1,
+and so are the token totals of frequency tables and lexicons, so that no
+int64 sum downstream can wrap.  A malformed row raises IngestError naming
+``path:lineno``; a file that cannot be read or holds no data row raises
+it naming ``path``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from pathlib import Path
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -25,42 +30,80 @@ __all__ = [
     "load_lexicon",
 ]
 
+_INT64_MAX = 2**63 - 1
+
 
 def _nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def _rows(
+    path: str | Path,
+    columns: tuple[str, ...],
+    header: Literal["none", "optional", "required"] = "none",
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, cells)`` for each data row, split on tabs.
+
+    A header row is the first non-comment row whose stripped cells equal
+    ``columns``; a required header that is missing is an error.  Every
+    data row must have ``len(columns)`` cells.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: {exc}") from exc
-    return text.splitlines()
+    layout = "\t".join(columns)
+    pending_header = header != "none"
+    seen_data = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if pending_header:
+            pending_header = False
+            if [c.strip() for c in cells] == list(columns):
+                continue
+            if header == "required":
+                raise IngestError(f"{path}:{lineno}: expected header {layout!r}, got {line!r}")
+        if len(cells) != len(columns):
+            raise IngestError(
+                f"{path}:{lineno}: expected {len(columns)} columns {layout!r}, "
+                f"got {len(cells)} in {line!r}"
+            )
+        seen_data = True
+        yield lineno, cells
+    if not seen_data:
+        raise IngestError(f"{path}: no data rows")
+
+
+def _count(path: str | Path, lineno: int, text: str, name: str = "count") -> int:
+    """Parse a non-negative integer count no larger than 2**63-1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise IngestError(f"{path}:{lineno}: {name} {text!r} is not an integer") from exc
+    if value < 0:
+        raise IngestError(f"{path}:{lineno}: negative {name} {value}")
+    if value > _INT64_MAX:
+        raise IngestError(f"{path}:{lineno}: {name} exceeds 2**63-1")
+    return value
+
+
+def _check_total(path: str | Path, total: int) -> None:
+    if total > _INT64_MAX:
+        raise IngestError(f"{path}: token total exceeds 2**63-1")
 
 
 def load_frequency_table(path: str | Path) -> CountVector:
     """Read `phoneme<TAB>count` rows into a CountVector."""
     counts: dict[str, int] = {}
-    seen_data = False
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestError(f"{path}:{lineno}: expected `phoneme<TAB>count`, got {line!r}")
-        label = _nfc(parts[0].strip())
-        try:
-            count = int(parts[1])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: count {parts[1]!r} is not an integer") from exc
-        if count < 0:
-            raise IngestError(f"{path}:{lineno}: negative count {count}")
+    for lineno, (label, count_text) in _rows(path, ("phoneme", "count")):
+        label = _nfc(label.strip())
+        count = _count(path, lineno, count_text)
         if label in counts:
             raise IngestError(f"{path}:{lineno}: duplicate phoneme {label!r}")
         counts[label] = count
-        seen_data = True
-    if not seen_data:
-        raise IngestError(f"{path}: no data rows")
+    _check_total(path, sum(counts.values()))
     try:
         return CountVector(counts)
     except DomainError as exc:
@@ -70,60 +113,34 @@ def load_frequency_table(path: str | Path) -> CountVector:
 def load_lexicon(path: str | Path) -> PhonemizedLexicon:
     """Read `count<TAB>phoneme phoneme ...` rows into a lexicon."""
     entries = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestError(
-                f"{path}:{lineno}: expected `count<TAB>phonemes`, got {line!r}"
-            )
-        try:
-            count = int(parts[0])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: count {parts[0]!r} is not an integer") from exc
-        word = tuple(_nfc(p) for p in parts[1].split() if p)
+    for lineno, (count_text, phonemes) in _rows(path, ("count", "phonemes")):
+        count = _count(path, lineno, count_text)
+        word = tuple(_nfc(p) for p in phonemes.split() if p)
         if not word:
             raise IngestError(f"{path}:{lineno}: empty word")
-        if count <= 0:
-            raise IngestError(f"{path}:{lineno}: non-positive count {count}")
+        if count == 0:
+            raise IngestError(f"{path}:{lineno}: non-positive count 0")
         entries.append((word, count))
-    if not entries:
-        raise IngestError(f"{path}: no data rows")
+    _check_total(path, sum(count for _, count in entries))
     try:
         return PhonemizedLexicon.build(entries)
     except DomainError as exc:
         raise IngestError(f"{path}: {exc}") from exc
 
 
-_INCIDENCE_HEADER = ["phoneme", "languages_with", "languages_total"]
+_INCIDENCE_HEADER = ("phoneme", "languages_with", "languages_total")
 
 
 def load_incidence(path: str | Path) -> IncidenceTable:
     """Read the incidence TSV; p_i = languages_with / languages_total."""
-    lines = [
-        (i, line)
-        for i, line in enumerate(_read_lines(path), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not lines:
-        raise IngestError(f"{path}: empty incidence table")
-    header_no, header = lines[0]
-    if [h.strip() for h in header.split("\t")] != _INCIDENCE_HEADER:
-        expected = "\t".join(_INCIDENCE_HEADER)
-        raise IngestError(f"{path}:{header_no}: expected header {expected!r}")
     probs: dict[str, float] = {}
-    for lineno, line in lines[1:]:
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        label = _nfc(parts[0].strip())
-        try:
-            with_count = int(parts[1])
-            total = int(parts[2])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: non-integer language count") from exc
-        if total <= 0 or with_count <= 0 or with_count > total:
+    for lineno, (label, with_text, total_text) in _rows(
+        path, _INCIDENCE_HEADER, header="required"
+    ):
+        label = _nfc(label.strip())
+        with_count = _count(path, lineno, with_text, "languages_with")
+        total = _count(path, lineno, total_text, "languages_total")
+        if with_count <= 0 or with_count > total:
             raise IngestError(
                 f"{path}:{lineno}: need 0 < languages_with <= languages_total, "
                 f"got {with_count}/{total}"
@@ -131,42 +148,27 @@ def load_incidence(path: str | Path) -> IncidenceTable:
         if label in probs:
             raise IngestError(f"{path}:{lineno}: duplicate phoneme {label!r}")
         probs[label] = with_count / total
-    if not probs:
-        raise IngestError(f"{path}: no incidence rows")
     return IncidenceTable(probs)
 
 
-_FEATURE_HEADER = ["phoneme", "observed_prob", "cost", "seg_info", "lex_div"]
+_FEATURE_HEADER = ("phoneme", "observed_prob", "cost", "seg_info", "lex_div")
 
 
 def load_feature_table(path: str | Path) -> FeatureTable:
     """Read a feature TSV as written by `phonodist features`."""
-    lines = [
-        (i, line)
-        for i, line in enumerate(_read_lines(path), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not lines:
-        raise IngestError(f"{path}: empty feature table")
-    header_no, header = lines[0]
-    cols = [h.strip() for h in header.split("\t")]
-    if cols != _FEATURE_HEADER:
-        expected = "\t".join(_FEATURE_HEADER)
-        raise IngestError(
-            f"{path}:{header_no}: expected header {expected!r}, got {header!r}"
-        )
     phonemes, rows = [], []
-    for lineno, line in lines[1:]:
-        parts = line.split("\t")
-        if len(parts) != len(_FEATURE_HEADER):
-            raise IngestError(
-                f"{path}:{lineno}: expected {len(_FEATURE_HEADER)} columns, got {len(parts)}"
-            )
-        phonemes.append(_nfc(parts[0].strip()))
+    for lineno, cells in _rows(path, _FEATURE_HEADER, header="required"):
+        label = _nfc(cells[0].strip())
+        if label in phonemes:
+            raise IngestError(f"{path}:{lineno}: duplicate phoneme {label!r}")
+        phonemes.append(label)
         try:
-            rows.append([float(v) for v in parts[1:]])
+            values = [float(v) for v in cells[1:]]
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: non-numeric feature value") from exc
+        if not all(map(math.isfinite, values)):
+            raise IngestError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(values)
     if len(phonemes) < 2:
         raise IngestError(f"{path}: need at least 2 phoneme rows")
     data = np.array(rows)
@@ -187,16 +189,9 @@ def load_feature_table(path: str | Path) -> FeatureTable:
 def load_fit_points(path: str | Path) -> list[tuple[float, float]]:
     """Read `n<TAB>alpha_hat` rows (optional header) for the regression."""
     points = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestError(f"{path}:{lineno}: expected `n<TAB>alpha_hat`")
-        if [p.strip() for p in parts] == ["n", "alpha_hat"]:
-            continue
+    for lineno, (n_text, alpha_text) in _rows(path, ("n", "alpha_hat"), header="optional"):
         try:
-            n, alpha = float(parts[0]), float(parts[1])
+            n, alpha = float(n_text), float(alpha_text)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: non-numeric fit row") from exc
         if not (0 < n < math.inf and 0 < alpha < math.inf):  # also rejects nan

@@ -23,7 +23,6 @@ __all__ = [
     "MaxEntProblem",
     "MaxEntSolution",
     "guessed_distribution",
-    "solution_entropy",
     "solve",
 ]
 
@@ -206,9 +205,3 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
         entropy=entropy,
         iterations=iterations,
     )
-
-
-def solution_entropy(solution: MaxEntSolution) -> float:
-    """Shannon entropy (nats) of the solved distribution."""
-    p = solution.probs
-    return float(-np.sum(p * np.log(p)))

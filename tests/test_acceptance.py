@@ -338,7 +338,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     identical = outputs[0] == outputs[1]
     # sanity: the JSON artifacts parse and carry the schema version
     parsed = json.loads(outputs[0]["report.json"])
-    ok = identical and parsed["schema_version"] == 1
+    ok = identical and parsed["schema_version"] == 2
     report(
         10,
         ok,

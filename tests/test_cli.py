@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import phonodist
 from phonodist import cli, corpus, dirichlet, entropy, io, maxent
@@ -36,7 +38,7 @@ class TestFitAlpha:
         payload = run_json(capsys, "fit-alpha", data_path("samoan.tsv"))
         counts = io.load_frequency_table(data_path("samoan.tsv"))
         est = entropy.cwj_entropy(counts)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["language"] == "samoan"
         assert payload["n"] == est.support_size
         assert payload["alpha_hat"] == float(
@@ -94,7 +96,7 @@ class TestReconstruct:
         code, out, _ = run(capsys, "reconstruct", "--n", "13")
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "# schema_version\t1"
+        assert lines[0] == "# schema_version\t2"
         assert lines[2] == "rank\tmean\tsd\tci_low\tci_high"
         body = lines[3:]
         assert len(body) == 13
@@ -272,14 +274,15 @@ class TestReport:
             assert row["alpha_hat"] is not None
             assert 0.0 < row["relative_entropy"] <= 1.0
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_bad_jobs_usage_error(self, capsys, jobs):
+    def test_no_jobs_option_and_empty_config(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["report", data_path("kaiwa.tsv"), "--jobs", jobs])
+            cli.main(["report", data_path("kaiwa.tsv"), "--jobs", "2"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --jobs" in err
+        assert "unrecognized arguments: --jobs 2" in err
         assert "Traceback" not in err
+        payload = run_json(capsys, "report", data_path("kaiwa.tsv"), data_path("samoan.tsv"))
+        assert payload["config"] == {}
 
     def test_deterministic(self, capsys, tmp_path):
         tables = [data_path("kaiwa.tsv"), data_path("samoan.tsv"), data_path("swedish.tsv")]
@@ -353,3 +356,109 @@ def test_six_subcommands_never_import_scipy_optimize_or_integrate(tmp_path):
     assert result["before"] == []
     # maxent's feasibility LP does load scipy.optimize, so the probe can see it
     assert result["after"] == ["scipy.optimize"]
+
+
+# Exit-code contract: every file-reading subcommand, fed arbitrary TSV text,
+# ends with 0, 2, 3 or 4, and a failure prints exactly one `error:` line.
+# One cell in twenty is malformed, so that many files get past ingest.
+def _mostly(valid, odd):
+    return st.integers(0, 19).flatmap(lambda i: valid if i else odd)
+
+
+def _cells(valid, odd):
+    return _mostly(valid, st.sampled_from(odd))
+
+
+# the phonemes of toy_a.lex and toy_incidence.tsv, so coverage checks can pass
+_LABELS = _cells(st.sampled_from("aikmopt"), ["é", "e\u0301", "#", " a ", "", "x"])
+
+
+def _ints(low, high):
+    odd = ["0", "-1", "+4", " 5 ", "1.5", "x", "", str(2**63 - 1), str(2**63), "1" + "0" * 30]
+    return _cells(st.integers(low, high).map(str), odd)
+
+
+_FLOATS = _cells(
+    st.floats(1e-3, 1e3).map(repr), ["0", "-1", "1e-300", "1e300", "inf", "nan", "x", ""]
+)
+_WORDS = st.lists(_LABELS, max_size=4).map(" ".join)
+_NOISE = st.one_of(
+    st.sampled_from(["", "# comment", "   ", "\t", "a\tb\tc\td\te\tf"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+
+
+def _tsv(rows, header=None):
+    """File text: an optional header, then data rows mixed with noise lines.
+
+    Rows are unique in their first cell, so that labels rarely repeat.
+    """
+    lines = st.lists(_mostly(rows, _NOISE), max_size=10, unique_by=lambda r: r.split("\t")[0])
+    headers = _mostly(st.just([header]), st.just([])) if header else st.just([])
+    return st.builds(lambda h, body: "\n".join(h + body) + "\n", headers, lines)
+
+
+def _row(*cells):
+    return st.tuples(*cells).map("\t".join)
+
+
+@st.composite
+def _feature_table(draw):
+    """Feature rows whose observed_prob column sums to 1 unless noise hits it."""
+    weights = draw(st.lists(st.integers(1, 9), max_size=6))
+    rows = [
+        "\t".join([draw(_LABELS), repr(w / sum(weights))] + [draw(_FLOATS) for _ in range(3)])
+        for w in weights
+    ]
+    rows += draw(st.lists(_mostly(st.just("# comment"), _NOISE), max_size=2))
+    header = draw(_mostly(st.just(["phoneme\tobserved_prob\tcost\tseg_info\tlex_div"]), st.just([])))
+    return "\n".join(header + draw(st.permutations(rows))) + "\n"
+
+
+_FREQUENCY = _tsv(_row(_LABELS, _ints(0, 40)))
+_CONTRACT = {
+    "fit-alpha": (_FREQUENCY, lambda path: ["fit-alpha", path]),
+    "estimate-entropy": (_FREQUENCY, lambda path: ["estimate-entropy", path]),
+    "regress": (_tsv(_row(_FLOATS, _FLOATS), "n\talpha_hat"), lambda path: ["regress", path]),
+    "report": (
+        _FREQUENCY,
+        lambda path: ["report", path, data_path("kaiwa.tsv"), data_path("samoan.tsv")],
+    ),
+    "features-lexicon": (
+        _tsv(_row(_ints(1, 40), _WORDS)),
+        lambda path: ["features", path, data_path("toy_incidence.tsv")],
+    ),
+    "features-incidence": (
+        _tsv(
+            _row(_LABELS, _ints(1, 10), _ints(10, 40)),
+            "phoneme\tlanguages_with\tlanguages_total",
+        ),
+        lambda path: ["features", data_path("toy_a.lex"), path],
+    ),
+    "maxent": (_feature_table(), lambda path: ["maxent", path]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACT))
+@pytest.mark.filterwarnings("ignore:feature columns are affinely dependent")
+@given(data=st.data())
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_exit_code_contract(tmp_path, capsys, case, data):
+    strategy, argv = _CONTRACT[case]
+    path = tmp_path / "input.tsv"
+    path.write_text(data.draw(strategy, label="text"), encoding="utf-8")
+    try:
+        code = cli.main([*argv(str(path)), "-o", str(tmp_path / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code in (3, 4):
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert err.endswith(errors[0] + "\n")

@@ -7,7 +7,6 @@ from phonodist.maxent import (
     MaxEntProblem,
     check_feasibility,
     guessed_distribution,
-    solution_entropy,
     solve,
 )
 from phonodist.errors import DomainError, InfeasibleError
@@ -177,10 +176,6 @@ class TestSolve:
                     assert entropy(p) <= sol.entropy + 1e-10
                     break
         assert found_other > 100
-
-    def test_solution_entropy_helper(self):
-        sol = solve(MaxEntProblem(labels(4), np.zeros((4, 0)), np.zeros(0)))
-        assert solution_entropy(sol) == pytest.approx(sol.entropy)
 
     def test_rejects_bad_tolerance(self):
         problem = MaxEntProblem(labels(2), np.array([[0.0], [1.0]]), np.array([0.5]))
