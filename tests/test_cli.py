@@ -274,13 +274,17 @@ class TestReport:
             assert row["alpha_hat"] is not None
             assert 0.0 < row["relative_entropy"] <= 1.0
 
-    def test_no_jobs_option_and_empty_config(self, capsys):
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_usage_error(self, capsys, jobs):
+        # report has no --jobs option: any value is a usage error, not a crash.
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["report", data_path("kaiwa.tsv"), "--jobs", "2"])
+            cli.main(["report", data_path("kaiwa.tsv"), "--jobs", jobs])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: --jobs 2" in err
+        assert f"unrecognized arguments: --jobs {jobs}" in err
         assert "Traceback" not in err
+
+    def test_empty_config(self, capsys):
         payload = run_json(capsys, "report", data_path("kaiwa.tsv"), data_path("samoan.tsv"))
         assert payload["config"] == {}
 
