@@ -59,7 +59,12 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(_round12(payload), sort_keys=True, indent=2, ensure_ascii=False)
+    try:
+        text = json.dumps(
+            _round12(payload), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+        )
+    except ValueError as exc:  # NaN or infinity, which JSON cannot hold
+        raise NumericalError(f"non-finite value in output ({exc})") from exc
     _emit(text + "\n", out)
 
 

@@ -5,7 +5,8 @@ symmetric Dirichlet with concentration ``alpha``; its marginals are
 Beta(alpha, (n-1)*alpha).  The rank-frequency curve is the sequence of
 order-statistic means of that marginal (rank 1 = largest order statistic),
 and the concentration itself follows a power law in the inventory size.
-All entropies are in nats.
+All entropies are in nats.  scipy.special is imported inside the functions
+that need it, so that importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InfeasibleError, NumericalError
 
@@ -47,6 +47,12 @@ def _check_inventory(n) -> int:
     return int(n)
 
 
+def _check_concentration(alpha: float) -> float:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"concentration must be finite and > 0, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class DirichletSpec:
     """Symmetric Dirichlet over the (n-1)-simplex with concentration alpha."""
@@ -56,8 +62,7 @@ class DirichletSpec:
 
     def __post_init__(self):
         _check_inventory(self.n)
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"concentration must be finite and > 0, got {self.alpha}")
+        _check_concentration(self.alpha)
 
     @property
     def beta_a(self) -> float:
@@ -107,11 +112,47 @@ class OrderStatSummary:
             yield i + 1, float(self.mean[i]), float(self.sd[i]), lo, hi
 
 
-def digamma(x: float) -> float:
-    """Digamma function, restricted to the positive reals."""
-    if not (np.isscalar(x) and math.isfinite(x) and x > 0):
-        raise DomainError(f"digamma requires finite x > 0, got {x!r}")
-    return float(special.digamma(x))
+_LN10_HI = 2.302585092994046
+_LN10_LO = -2.1707562233822494e-16  # ln 10 - _LN10_HI
+_SHIFTS = np.arange(10.0)
+# psi(y) - ln(y) is the sum of c * w**p, w = 1/y, over these (c, p) for
+# y >= 10: -w/2, then -B_2k w**2k / 2k through B_12
+_PSI_TERMS = ((-1 / 2, 1), (-1 / 12, 2), (1 / 120, 4), (-1 / 252, 6), (1 / 240, 8),
+              (-1 / 132, 10), (691 / 32760, 12))
+_PSI_COEFFS, _PSI_POWERS = (np.array(column) for column in zip(*_PSI_TERMS))
+
+
+def digamma(x):
+    """Digamma function on the positive reals, for a scalar or an array.
+
+    Below 10 the argument is raised by ten steps of psi(x) = psi(x+1) - 1/x.
+    ln(x + 10) is split as ln 10 + log1p(x/10), and the ten reciprocals are
+    taken off ln 10 before anything else is added, so that no rounding
+    happens at the size of ln 10 and psi stays accurate where it crosses
+    zero (x = 1.4616...).  Scalars return a float, arrays an array.
+    """
+    if np.isscalar(x):
+        if not (math.isfinite(x) and x > 0):
+            raise DomainError(f"digamma requires finite x > 0, got {x!r}")
+        x = float(x)
+        w = 1.0 / (x + 10.0 if x < 10.0 else x)
+        rest = sum([c * w**p for c, p in _PSI_TERMS])
+        if x >= 10.0:
+            return math.log(x) + rest
+        parts = [_LN10_HI, _LN10_LO, math.log1p(x / 10.0), rest]
+        return math.fsum(parts + [-1.0 / (x + i) for i in range(10)])
+    x = np.asarray(x, dtype=float)
+    if x.size and not (x.min() > 0 and x.max() < math.inf):
+        raise DomainError("digamma requires finite x > 0 everywhere")
+    small = x < 10.0
+    y = x + 10.0 * small
+    rest = (1.0 / y)[..., None] ** _PSI_POWERS @ _PSI_COEFFS
+    # computed for every element, kept where x < 10; cumsum takes the
+    # reciprocals off ln 10 one by one, in order
+    parts = -1.0 / (x[..., None] + _SHIFTS)
+    parts[..., 0] += _LN10_HI
+    raised = parts.cumsum(axis=-1)[..., -1] + (np.log1p(x / 10.0) + _LN10_LO)
+    return np.where(small, raised, np.log(y)) + rest
 
 
 def expected_entropy(spec: DirichletSpec) -> float:
@@ -159,10 +200,11 @@ def solve_alpha(entropy_hat: float, n: int, tol: float = 1e-12) -> float:
 def predict_alpha(n: int, law: AlphaScalingLaw = AlphaScalingLaw()) -> float:
     """Concentration predicted from inventory size via the scaling law."""
     n = _check_inventory(n)
-    return law.coeff_a * n ** law.exponent_b
+    return _check_concentration(law.coeff_a * n ** law.exponent_b)
 
 
 def _log_marginal_pdf(spec: DirichletSpec, x: float) -> float:
+    from scipy import special
     a, b = spec.beta_a, spec.beta_b
     return (a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - special.betaln(a, b)
 
@@ -178,10 +220,12 @@ def marginal_cdf(spec: DirichletSpec, x: float) -> float:
     """Regularized incomplete beta CDF of a single Dirichlet component."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"marginal_cdf requires 0 <= x <= 1, got {x!r}")
+    from scipy import special
     return float(special.betainc(spec.beta_a, spec.beta_b, x))
 
 
 def _log_order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
+    from scipy import special
     n = spec.n
     log_comb = (
         special.gammaln(n + 1) - special.gammaln(r) - special.gammaln(n - r + 1)
@@ -221,7 +265,7 @@ def _gamma_orderstat_raw_moment(n: int, alpha: float, j: int, power: int) -> flo
     t**(alpha-1) endpoint singularity is absorbed with the change of
     variables u = t**alpha before the density is evaluated.
     """
-    from scipy import integrate  # imported here so only this path pays for it
+    from scipy import integrate, special  # imported here so only this path pays for it
     log_comb = special.gammaln(n + 1) - special.gammaln(j) - special.gammaln(n - j + 1)
     log_gamma_norm = special.gammaln(alpha)
 
@@ -321,6 +365,7 @@ def order_statistic_quantile(spec: DirichletSpec, r: int, q: float) -> float:
     r = _check_rank(spec, r)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
+    from scipy import special
     u = float(special.betaincinv(r, spec.n - r + 1, q))
     x = float(special.betaincinv(spec.beta_a, spec.beta_b, u))
     if not math.isfinite(x):

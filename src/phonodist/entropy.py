@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import special
 
+from .dirichlet import digamma
 from .errors import DomainError
 
 __all__ = [
@@ -73,7 +73,7 @@ def plugin_estimate(counts: np.ndarray) -> float:
     counts = np.asarray(counts, dtype=float)
     counts = counts[counts > 0]
     p = counts / counts.sum()
-    return float(-np.sum(special.xlogy(p, p)))
+    return float(-np.sum(p * np.log(p)))
 
 
 def cwj_estimate(counts: np.ndarray) -> float:
@@ -90,7 +90,7 @@ def cwj_estimate(counts: np.ndarray) -> float:
 
     # observed part: sum over 1 <= X_i <= N-1 of (X_i/N) * sum_{k=X_i}^{N-1} 1/k
     observed = counts[counts <= total - 1]
-    partial_harmonic = special.digamma(total) - special.digamma(observed)
+    partial_harmonic = digamma(total) - digamma(observed)
     estimate = float(np.sum(observed / total * partial_harmonic))
 
     f1 = int(np.count_nonzero(counts == 1))

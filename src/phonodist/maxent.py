@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, InfeasibleError, NumericalError
 
@@ -101,6 +100,25 @@ def check_feasibility(problem: MaxEntProblem) -> None:
             "targets are jointly infeasible on the simplex "
             f"(LP status: {res.message.strip()})"
         )
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, by scipy.special.logsumexp's algorithm.
+
+    The k entries equal to the maximum m are kept out of the shifted sum s,
+    and the result is log1p(s / k) + log(k) + m, which is bit-identical to
+    scipy's.  A non-finite maximum falls back to log(sum(exp(a))), as scipy
+    does.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.log(np.sum(np.exp(a)))
+    at_top = a == top
+    k = np.count_nonzero(at_top)
+    s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top)) / k
+    return np.log1p(s) + np.log(np.float64(k)) + top
 
 
 def guessed_distribution(lambdas: np.ndarray, features: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phonodist.analysis import (
+    _t_two_sided_p,
     band_coverage,
     compensation_report,
     implied_scaling_law,
@@ -74,9 +75,43 @@ class TestLoglogRegression:
         with pytest.raises(DomainError):
             loglog_regression([(10.0, 1.0), (10.0, 1.1), (10.0, 0.9)])
 
+    def test_zero_residual_variance(self):
+        # an exact fit has no standard error and no finite t statistic
+        with pytest.raises(DomainError, match="zero residual variance"):
+            loglog_regression([(2.0, 1.0), (4.0, 1.0), (8.0, 1.0)])
+
     def test_misaligned_origins(self):
         with pytest.raises(DomainError):
             loglog_regression(law_points([10, 20, 30]), origins=["a", "b"])
+
+
+class TestStudentT:
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 10, 30, 100, 1000])
+    def test_against_mpmath(self, df):
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.concatenate([[0.0], np.linspace(0.05, 4.0, 80), np.logspace(-3, 15, 109)])
+        with mpmath.workdps(30):
+            for t in ts:
+                x = df / (df + mpmath.mpf(float(t)) ** 2)
+                ref = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True)
+                if ref < mpmath.mpf("1e-300"):
+                    continue
+                for signed in (t, -t):
+                    got = _t_two_sided_p(float(signed), df)
+                    assert abs(got - ref) <= 1e-13 * ref, (df, signed, got)
+        assert _t_two_sided_p(math.inf, df) == 0.0
+        assert _t_two_sided_p(-math.inf, df) == 0.0
+
+    def test_small_p_from_an_exact_line(self):
+        mpmath = pytest.importorskip("mpmath")
+        # three rows on alpha = 20 / n: t is about -8.6e14 with one degree of
+        # freedom, so p = (2 / pi) atan(1 / |t|) is about 7.4e-16
+        fit = loglog_regression([(10.0, 2.0), (20.0, 1.0), (40.0, 0.5)])
+        assert fit.t_slope == pytest.approx(-8.6e14, rel=0.01)
+        with mpmath.workdps(30):
+            ref = 2 / mpmath.pi * mpmath.atan(1 / abs(mpmath.mpf(fit.t_slope)))
+        assert fit.p_slope == pytest.approx(7.4e-16, rel=0.01)
+        assert abs(fit.p_slope - ref) <= 1e-13 * ref
 
 
 class TestImpliedScalingLaw:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import phonodist
 from phonodist import cli, corpus, dirichlet, entropy, io, maxent
+from phonodist.errors import NumericalError
 
 DATA = files("phonodist") / "data"
 
@@ -89,6 +90,18 @@ class TestPredictAlpha:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["predict-alpha", "--n", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "law, shown",
+        [(("3", "1e308", "2"), "inf"), (("1000", "1e-300", "-100"), "0.0")],
+    )
+    def test_law_without_finite_concentration_exits_3(self, capsys, law, shown):
+        n, coeff_a, exponent_b = law
+        args = ["--n", n, "--coeff-a", coeff_a, "--exponent-b", exponent_b]
+        message = f"error: concentration must be finite and > 0, got {shown}\n"
+        # the same message and exit code as reconstruct gives for the same law
+        for command in ("predict-alpha", "reconstruct"):
+            assert run(capsys, command, *args) == (3, "", message)
 
 
 class TestReconstruct:
@@ -233,6 +246,13 @@ class TestRegress:
         assert payload["fit"]["slope"] == pytest.approx(-0.95, abs=1e-9)
         assert payload["law"]["coeff_a"] == pytest.approx(19.47, rel=1e-9)
 
+    def test_exact_fit_exits_3(self, capsys, tmp_path):
+        fits = tmp_path / "fits.tsv"
+        fits.write_text("2\t1\n4\t1\n8\t1\n", encoding="utf-8")
+        assert run(capsys, "regress", str(fits)) == (
+            3, "", "error: degenerate regression: zero residual variance\n"
+        )
+
     def test_too_few_rows_exits_3(self, capsys, tmp_path):
         fits = tmp_path / "fits.tsv"
         fits.write_text("n\talpha_hat\n11\t2.0\n13\t1.8\n", encoding="utf-8")
@@ -251,6 +271,12 @@ class TestRegress:
         assert code == 3
         assert out == ""
         assert err == f"error: {fits}:3: n and alpha_hat must be finite and > 0\n"
+
+
+def test_json_output_refuses_non_finite_values():
+    # a backstop: NaN and infinity are not JSON, so they exit 4, not 0
+    with pytest.raises(NumericalError, match="non-finite value in output"):
+        cli._emit_json({"t_slope": math.inf}, None)
 
 
 class TestReport:
@@ -320,9 +346,16 @@ class TestRoundTrip:
 _IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 from phonodist import cli
 
-data, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+at_import = scipy_modules()
+data, tmp, last = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 out = ["-o", str(tmp / "out")]
 tables = [str(data / f"{name}.tsv") for name in ("amenglish", "bengali", "kaiwa", "samoan", "swedish")]
 fits = tmp / "fits.tsv"
@@ -336,19 +369,23 @@ codes = [
     cli.main(["fit-alpha", tables[3], *out]),
     cli.main(["report", *tables, *out]),
 ]
-watched = ("scipy.optimize", "scipy.integrate")
-before = [m for m in watched if m in sys.modules]
-codes.append(cli.main(["maxent", str(tmp / "features.tsv"), *out]))
-after = [m for m in watched if m in sys.modules]
-print(json.dumps({"codes": codes, "before": before, "after": after}))
+after_six = scipy_modules()
+if last == "maxent":
+    codes.append(cli.main(["maxent", str(tmp / "features.tsv"), *out]))
+else:
+    codes.append(cli.main(["reconstruct", "--n", "11", *out]))
+after_last = scipy_modules()
+print(json.dumps({"codes": codes, "at_import": at_import, "after_six": after_six,
+                  "after_last": after_last}))
 """
 
 
-def test_six_subcommands_never_import_scipy_optimize_or_integrate(tmp_path):
-    # one fresh interpreter, so nothing pytest has already imported counts
+def _probe_imports(tmp_path, last):
+    """Run the six light subcommands, then ``last``, in one fresh interpreter,
+    so that nothing pytest has already imported counts."""
     src = Path(phonodist.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(DATA), str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_PROBE, str(DATA), str(tmp_path), last],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -357,14 +394,30 @@ def test_six_subcommands_never_import_scipy_optimize_or_integrate(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 7
-    assert result["before"] == []
+    return result
+
+
+def test_six_subcommands_never_import_scipy_optimize_or_integrate(tmp_path):
+    result = _probe_imports(tmp_path, "maxent")
+    watched = ("scipy.optimize", "scipy.integrate")
+    assert [m for m in watched if m in result["after_six"]] == []
     # maxent's feasibility LP does load scipy.optimize, so the probe can see it
-    assert result["after"] == ["scipy.optimize"]
+    assert [m for m in watched if m in result["after_last"]] == ["scipy.optimize"]
+
+
+def test_six_subcommands_never_import_scipy(tmp_path):
+    result = _probe_imports(tmp_path, "reconstruct")
+    assert result["at_import"] == []
+    assert result["after_six"] == []
+    # reconstruct's moments and bands do load scipy.special
+    assert "scipy.special" in result["after_last"]
 
 
 # Exit-code contract: every file-reading subcommand, fed arbitrary TSV text,
-# ends with 0, 2, 3 or 4, and a failure prints exactly one `error:` line.
-# One cell in twenty is malformed, so that many files get past ingest.
+# and the two that read no file, fed arbitrary --n, --coeff-a and
+# --exponent-b strings, end with 0, 2, 3 or 4; a failure prints exactly one
+# `error:` line, and a JSON output holds no NaN or infinity.  One cell in
+# twenty is malformed, so that many files get past ingest.
 def _mostly(valid, odd):
     return st.integers(0, 19).flatmap(lambda i: valid if i else odd)
 
@@ -443,7 +496,39 @@ _CONTRACT = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CONTRACT))
+# one option value in three is odd: unparsable, non-positive, or so large
+# or small that the law overflows or underflows; hypothesis leans to the
+# first entries, so an overflowing law (1e308 * 2**2) comes first
+_ODD_NUMBERS = st.sampled_from(
+    ["1e308", "2", "x", "", "0", "-1", "nan", "inf", "1e-320", "1e-300", "100", "1e300"]
+)
+_COEFF_A = st.integers(0, 2).flatmap(lambda i: st.floats(1e-3, 1e3).map(repr) if i else _ODD_NUMBERS)
+_EXPONENT_B = st.integers(0, 2).flatmap(lambda i: st.floats(-3, 3).map(repr) if i else _ODD_NUMBERS)
+_ODD_N = ["1", "0", "-5", "x", "", "2.5", "1e3"]
+
+
+def _law_argv(command, n):
+    return st.tuples(n, _COEFF_A, _EXPONENT_B).map(
+        lambda v: [command, f"--n={v[0]}", f"--coeff-a={v[1]}", f"--exponent-b={v[2]}"]
+    )
+
+
+# argv strategies for the subcommands that read no file; reconstruct stays
+# at n <= 60, since its cost grows with n and it has no upper bound on n yet
+_NO_FILE = {
+    "predict-alpha": _law_argv(
+        "predict-alpha",
+        _cells(st.one_of(st.integers(2, 10**4), st.integers()).map(str), _ODD_N + ["9" * 400]),
+    ),
+    "reconstruct": _law_argv("reconstruct", _cells(st.integers(2, 60).map(str), _ODD_N)),
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACT) + sorted(_NO_FILE))
 @pytest.mark.filterwarnings("ignore:feature columns are affinely dependent")
 @given(data=st.data())
 @settings(
@@ -453,16 +538,24 @@ _CONTRACT = {
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_exit_code_contract(tmp_path, capsys, case, data):
-    strategy, argv = _CONTRACT[case]
-    path = tmp_path / "input.tsv"
-    path.write_text(data.draw(strategy, label="text"), encoding="utf-8")
+    output = tmp_path / "out"
+    if case in _NO_FILE:
+        argv = data.draw(_NO_FILE[case], label="argv")
+    else:
+        strategy, build = _CONTRACT[case]
+        path = tmp_path / "input.tsv"
+        path.write_text(data.draw(strategy, label="text"), encoding="utf-8")
+        argv = [*build(str(path)), "-o", str(output)]
     try:
-        code = cli.main([*argv(str(path)), "-o", str(tmp_path / "out")])
+        code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4)
     if code in (3, 4):
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1, err
         assert err.endswith(errors[0] + "\n")
+    if code == 0 and argv[0] not in ("features", "reconstruct"):
+        text = output.read_text(encoding="utf-8") if "-o" in argv else out
+        json.loads(text, parse_constant=_no_constant)

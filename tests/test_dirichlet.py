@@ -58,6 +58,45 @@ class TestDigamma:
     def test_domain_errors(self, x):
         with pytest.raises(DomainError):
             digamma(x)
+        with pytest.raises(DomainError):
+            digamma(np.array([1.0, x]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        root = 1.4616321449683622  # where digamma crosses zero
+        reals = np.concatenate(
+            [
+                np.logspace(-300, 300, 1201),
+                np.linspace(0.5, 12.0, 2301),
+                root + np.linspace(-1e-3, 1e-3, 101),
+                [root, np.nextafter(root, 0), np.nextafter(root, 2), 1e-300, 1e300],
+            ]
+        )
+        # integer arguments, as CWJ totals reach them, up to 2**63 - 1
+        ints = np.unique(
+            np.concatenate(
+                [np.arange(1, 200), 2 ** np.arange(8, 63), 3 ** np.arange(5, 40)]
+            ).astype(np.int64)
+        )
+        ints = np.append(ints, np.int64(2**63 - 1))
+        with mpmath.workdps(30):
+            for values in (reals, ints):
+                array = digamma(values)
+                for x, from_array in zip(values, array):
+                    ref = mpmath.digamma(mpmath.mpf(float(x)))
+                    # 2e-15 relative, or 1e-15 absolute within 0.5 of the root
+                    bound = max(
+                        2e-15 * abs(float(ref)), 1e-15 if abs(x - root) < 0.5 else 0.0
+                    )
+                    for got in (digamma(x), from_array):
+                        assert abs(mpmath.mpf(float(got)) - ref) <= bound, (x, got)
+
+    def test_array_matches_shape(self):
+        x = np.array([[0.3, 5.0], [12.0, 1e6]])
+        out = digamma(x)
+        assert out.shape == x.shape
+        assert out[0, 1] == pytest.approx(digamma(5.0), rel=2e-15)
 
 
 class TestExpectedEntropy:

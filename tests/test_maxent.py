@@ -7,6 +7,7 @@ from phonodist.maxent import (
     MaxEntProblem,
     check_feasibility,
     guessed_distribution,
+    logsumexp,
     solve,
 )
 from phonodist.errors import DomainError, InfeasibleError
@@ -85,6 +86,29 @@ class TestGuessedDistribution:
         probs = guessed_distribution(np.array([2000.0]), np.array([[0.0], [1.0]]))
         assert np.all(probs > 0)
         assert probs.sum() == pytest.approx(1.0)
+
+
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            m = int(rng.integers(1, 50))
+            a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=m)
+            if rng.random() < 0.5:  # ties at the maximum
+                a[rng.integers(0, m, size=rng.integers(1, m + 1))] = a.max()
+            if rng.random() < 0.3:  # ties anywhere
+                a = np.round(a, 1)
+            if rng.random() < 0.3:
+                a[rng.integers(0, m, size=rng.integers(1, m + 1))] = -np.inf
+            with np.errstate(divide="ignore"):
+                expected = special.logsumexp(a)
+            got = logsumexp(a)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), a
+
+    def test_all_minus_infinity(self):
+        with np.errstate(divide="ignore"):
+            assert logsumexp(np.full(3, -np.inf)) == -np.inf
 
 
 class TestSolve:
