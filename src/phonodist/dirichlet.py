@@ -200,7 +200,11 @@ def solve_alpha(entropy_hat: float, n: int, tol: float = 1e-12) -> float:
 def predict_alpha(n: int, law: AlphaScalingLaw = AlphaScalingLaw()) -> float:
     """Concentration predicted from inventory size via the scaling law."""
     n = _check_inventory(n)
-    return _check_concentration(law.coeff_a * n ** law.exponent_b)
+    try:
+        alpha = law.coeff_a * n ** law.exponent_b
+    except OverflowError:
+        raise DomainError("concentration coeff_a * n**exponent_b overflows a float") from None
+    return _check_concentration(alpha)
 
 
 def _log_marginal_pdf(spec: DirichletSpec, x: float) -> float:
@@ -353,6 +357,9 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
         var = second / (scale * (scale + 1.0)) - mu * mu
         means[rank - 1] = mu
         sds[rank - 1] = math.sqrt(max(var, 0.0))
+    if not (np.isfinite((means, sds)).all() and abs(math.fsum(means) - 1.0) <= 1e-6):
+        raise NumericalError(f"order-statistic moments failed at alpha={alpha:.3g}: "
+                             f"means sum to {means.sum():.6g}, not 1")
     return OrderStatSummary(n=n, alpha=spec.alpha, mean=means, sd=sds)
 
 

@@ -6,7 +6,9 @@ sum_k lambda_k f_k(x); the multipliers are found by minimizing the smooth
 convex dual D(lambda) = log Z(lambda) - lambda . c with a safeguarded
 Newton iteration (Hessian = feature covariance under the current Gibbs
 distribution), falling back to gradient steps when the Hessian is
-ill-conditioned.
+ill-conditioned.  Feasibility needs numpy alone: ``check_feasibility``
+tests column ranges and the affine hull, and the Newton loop certifies
+targets outside the convex hull by a separating direction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
 
 _MAX_ITER = 10_000
 _HULL_TOL = 1e-12
+_CERT_TOL = 1e-9  # scale-relative slack of the feasibility certificates
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,11 @@ class MaxEntSolution:
 
 
 def check_feasibility(problem: MaxEntProblem) -> None:
-    """Verify the targets admit a distribution on the support.
+    """Verify the targets lie in each column's range and in the affine hull.
 
-    Column-wise bound checks give a named violating direction; a linear
-    program on the simplex then certifies joint feasibility.
+    Column-wise bound checks give a named violating direction; the
+    least-squares residual of [1; F^T] p = [1; c] then shows whether any p,
+    of either sign, meets every constraint.  ``solve`` settles p >= 0.
     """
     feats, targets = problem.features, problem.targets
     for k in range(problem.n_constraints):
@@ -88,18 +92,13 @@ def check_feasibility(problem: MaxEntProblem) -> None:
                 f"target c[{k}]={targets[k]:.6g} outside feature column range "
                 f"[{lo:.6g}, {hi:.6g}] (violating hull direction: feature {k})"
             )
-    if problem.n_constraints == 0:
-        return
-    from scipy.optimize import linprog  # imported here so only this path pays for it
-    m = feats.shape[0]
-    a_eq = np.vstack([np.ones(m), feats.T])
+    a_eq = np.vstack([np.ones(feats.shape[0]), feats.T])
     b_eq = np.concatenate([[1.0], targets])
-    res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise InfeasibleError(
-            "targets are jointly infeasible on the simplex "
-            f"(LP status: {res.message.strip()})"
-        )
+    p = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+    gap = np.max(np.abs(a_eq @ p - b_eq))
+    if gap > _CERT_TOL * (np.abs(a_eq).max() * np.abs(p).sum() + np.abs(b_eq).max()):
+        raise InfeasibleError("targets are jointly infeasible on the simplex "
+                              f"(off the affine hull by {gap:.3g})")
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -146,13 +145,15 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     """Find the multipliers whose Gibbs distribution meets the targets.
 
     Converged when every constraint residual E[f_k] - c_k is within
-    ``tolerance`` in absolute value.
+    ``tolerance`` in absolute value.  Each step first tries y = lambda and
+    y = -residual as separating directions: max_x y.(f(x) - c) < 0 rules out
+    every feasible p, for which sum_x p(x) y.(f(x) - c) = 0.
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
     check_feasibility(problem)
     feats, targets = problem.features, problem.targets
-    m, k = feats.shape
+    k = feats.shape[1]
 
     rank_deficient = False
     if k > 0:
@@ -166,13 +167,18 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
             )
 
     lam = np.zeros(k)
+    shifted = feats - targets  # rows f(x) - c
+    slack = _CERT_TOL * np.abs(shifted).max(initial=0.0)
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         probs = guessed_distribution(lam, feats)
-        grad = feats.T @ probs - targets if k else np.zeros(0)
+        mean = feats.T @ probs
+        grad = mean - targets
         if k == 0 or np.max(np.abs(grad)) <= tolerance:
             break
-        mean = feats.T @ probs
+        if any(np.max(shifted @ y) < -slack * np.abs(y).sum() for y in (lam, -grad)):
+            raise InfeasibleError("targets are jointly infeasible on the simplex "
+                                  f"(separated at iteration {iterations})")
         hess = (feats.T * probs) @ feats - np.outer(mean, mean)
         try:
             step = -np.linalg.solve(hess, grad)
@@ -211,15 +217,11 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
         lam = np.linalg.pinv(feats, rcond=1e-12) @ (feats @ lam)
 
     probs = guessed_distribution(lam, feats)
-    residuals = (feats.T @ probs - targets) if k else np.zeros(0)
-    scores = feats @ lam if k else np.zeros(m)
-    lambda0 = float(-logsumexp(scores))
-    entropy = float(-np.sum(probs * np.log(probs)))
     return MaxEntSolution(
-        lambda0=lambda0,
+        lambda0=float(-logsumexp(feats @ lam)),
         lambdas=lam,
         probs=probs,
-        residuals=residuals,
-        entropy=entropy,
+        residuals=feats.T @ probs - targets,
+        entropy=float(-np.sum(probs * np.log(probs))),
         iterations=iterations,
     )

@@ -21,7 +21,7 @@ from phonodist.dirichlet import (
     reconstruct_from_inventory,
     solve_alpha,
 )
-from phonodist.errors import DomainError, InfeasibleError
+from phonodist.errors import DomainError, InfeasibleError, NumericalError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -206,6 +206,15 @@ class TestPredictAlpha:
         law = AlphaScalingLaw(coeff_a=2.0, exponent_b=-1.0)
         assert predict_alpha(4, law) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "n, law",
+        [(1000, AlphaScalingLaw(exponent_b=1e10)), (10**400, AlphaScalingLaw())],
+    )
+    def test_overflowing_power_names_the_concentration(self, n, law):
+        # n ** exponent_b overflows a float before the concentration exists
+        with pytest.raises(DomainError, match="concentration"):
+            predict_alpha(n, law)
+
 
 class TestMarginal:
     def test_uniform_density(self):
@@ -292,6 +301,13 @@ class TestOrderStatisticMoments:
         assert summary.mean.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(np.diff(summary.mean) < 0)
         assert np.all(summary.sd >= 0)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    def test_lost_curve_raises_instead_of_returning(self, alpha):
+        # the quadrature returns all-zero means at 1e-300 and NaN at the
+        # smallest subnormal; neither is a rank-frequency curve
+        with pytest.raises(NumericalError, match="means sum to"):
+            order_statistic_moments(DirichletSpec(20, alpha))
 
 
 class TestOrderStatisticQuantile:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from phonodist.maxent import (
     logsumexp,
     solve,
 )
-from phonodist.errors import DomainError, InfeasibleError
+from phonodist.errors import DomainError, InfeasibleError, NumericalError
 
 
 def labels(m):
@@ -64,10 +65,26 @@ class TestFeasibility:
             check_feasibility(problem)
 
     def test_jointly_infeasible_despite_per_column_ranges(self):
-        # each target inside its own column range, but p2 + p3 = 1.2 > 1
+        # each target inside its own column range, but p2 + p3 = 1.2 > 1;
+        # inside the affine hull, so the Newton loop finds the separation
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         problem = MaxEntProblem(labels(3), feats, np.array([0.6, 0.6]))
-        with pytest.raises(InfeasibleError):
+        check_feasibility(problem)
+        with pytest.raises(InfeasibleError, match="separated at iteration"):
+            solve(problem)
+
+    @pytest.mark.parametrize(
+        "feats, targets",
+        [
+            # two labels cannot reach a point off the segment between them
+            ([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.4]),
+            # a duplicated column with two different targets
+            ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0.8, 0.9]),
+        ],
+    )
+    def test_off_the_affine_hull(self, feats, targets):
+        problem = MaxEntProblem(labels(len(feats)), np.array(feats), np.array(targets))
+        with pytest.raises(InfeasibleError, match="affine hull"):
             check_feasibility(problem)
 
     def test_boundary_target_is_feasible(self):
@@ -290,3 +307,91 @@ class TestInvariances:
         )
         assert sol_s.probs == pytest.approx(sol.probs, abs=1e-9)
         assert sol_s.lambdas[1] == pytest.approx(sol.lambdas[1] / 4.0, abs=1e-7)
+
+
+_CERTIFICATES = (
+    ("column", "outside feature column range"),
+    ("affine", "off the affine hull"),
+    ("separated", "separated at iteration"),
+)
+
+
+def _oracle_case(rng, kind, few_labels):
+    """Features and targets of one seeded feasibility case; with
+    ``few_labels`` there are at most K + 1 labels for K features."""
+    k = int(rng.integers(1, 5))
+    m = int(rng.integers(2, k + 3)) if few_labels else int(rng.integers(3, 41))
+    style = rng.integers(3)
+    if style == 0:
+        feats = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(m, k))
+    elif style == 1:
+        feats = rng.integers(0, 2, size=(m, k)).astype(float)
+    else:
+        feats = rng.integers(-3, 4, size=(m, k)).astype(float)
+    weights = rng.dirichlet(np.ones(m))
+    if kind == "interior":
+        targets = feats.T @ weights
+    elif kind == "face":
+        keep = rng.random(m) < 0.5
+        keep[rng.integers(m)] = True
+        targets = feats.T @ (weights * keep / (weights * keep).sum())
+    elif kind == "vertex":
+        targets = feats[rng.integers(m)].copy()
+    elif kind == "outside":
+        # beyond a vertex, away from an interior point, by 1-100 %
+        vertex = feats[rng.integers(m)]
+        targets = vertex + rng.uniform(0.01, 1.0) * (vertex - feats.T @ weights)
+    else:  # anywhere in the box of the column ranges
+        lo, hi = feats.min(axis=0), feats.max(axis=0)
+        targets = lo + rng.random(k) * (hi - lo)
+    return feats, targets
+
+
+def test_feasibility_verdicts_match_a_linear_program():
+    """solve raises InfeasibleError exactly when HiGHS finds no p >= 0 with
+    sum p = 1 and F^T p = c, and converges otherwise."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2026)
+    kinds = ("interior", "face", "vertex", "outside", "box")
+    verdicts = {}
+    for trial in range(600):
+        kind, few_labels = kinds[trial % len(kinds)], trial % 4 == 0
+        feats, targets = _oracle_case(rng, kind, few_labels)
+        m = feats.shape[0]
+        lp = optimize.linprog(
+            np.zeros(m),
+            A_eq=np.vstack([np.ones(m), feats.T]),
+            b_eq=np.concatenate([[1.0], targets]),
+            bounds=(0, None),
+            method="highs",
+        )
+        problem = MaxEntProblem(labels(m), feats, targets)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                sol = solve(problem)
+        except InfeasibleError as exc:
+            assert not lp.success, (kind, feats, targets, exc)
+            verdict = next(name for name, phrase in _CERTIFICATES if phrase in str(exc))
+        except NumericalError as exc:
+            # a fault of the Newton loop, not of the certificates, pinned
+            # below: on one feasible face target the steps stop moving the
+            # multipliers with the residual at 1.9e-10, and the iterations
+            # run out
+            assert lp.success and "no convergence" in str(exc), (kind, feats, targets)
+            verdict = "stalled"
+        else:
+            assert lp.success, (kind, feats, targets)
+            assert np.max(np.abs(sol.residuals)) <= 1e-10
+            verdict = "converged"
+        key = (kind, few_labels, verdict)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # every certificate is exercised, with few labels and with many
+    for few_labels in (True, False):
+        for certificate in ("converged", "column", "affine", "separated"):
+            assert any(k[1:] == (few_labels, certificate) for k in verdicts), certificate
+    assert [key for key in verdicts if key[2] == "stalled"] == [("face", True, "stalled")]
+    assert verdicts["face", True, "stalled"] == 1
+    for kind, total in (("interior", 120), ("face", 119), ("vertex", 120)):
+        assert verdicts[kind, True, "converged"] + verdicts[kind, False, "converged"] == total
+    assert verdicts["outside", False, "separated"] > 0
