@@ -11,7 +11,8 @@ a change keeps every CLI artifact byte-identical:
     python3 scripts/cli_digest.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-The calls: predict-alpha and reconstruct; fit-alpha and estimate-entropy
+The calls: predict-alpha and reconstruct (also at n = 160 with a 0.8
+band and at n = 60 under another law); fit-alpha and estimate-entropy
 on all five tables, with and without --n; features on both toy lexicons
 and maxent on each result; regress on the five fitted (n, alpha_hat)
 rows; report over the five tables in two orders; and a few edge inputs
@@ -77,6 +78,8 @@ def main() -> None:
 
         run("predict-alpha", "--n", "40")
         run("reconstruct", "--n", "11", output=tmp / "reconstruct.tsv")
+        run("reconstruct", "--n", "160", "--gamma", "0.8")
+        run("reconstruct", "--n", "60", "--coeff-a", "0.3", "--exponent-b", "-0.5")
 
         fits = []
         for name in TABLES:

@@ -31,6 +31,7 @@ from .dirichlet import (
     expected_entropy,
     marginal_cdf,
     marginal_pdf,
+    order_statistic_bands,
     order_statistic_moments,
     order_statistic_pdf,
     order_statistic_quantile,

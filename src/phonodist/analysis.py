@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_quantile, solve_alpha
+from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
 from .entropy import CountVector, cwj_entropy, relative_entropy
 from .errors import DomainError
 from .maxent import MaxEntSolution
@@ -123,19 +123,15 @@ def loglog_regression(
         raise DomainError("degenerate regression: no variance in ln(n)")
 
     if origins is None:
-        design = np.column_stack([np.ones_like(x), x])
-        slope_idx, intercept_idx = 1, 0
-    else:
-        if len(origins) != len(points):
-            raise DomainError("origins must align with points")
-        levels = sorted(set(origins))
-        cols = [np.ones_like(x), x]
-        for level in levels[1:]:
-            dummy = np.array([1.0 if o == level else 0.0 for o in origins])
-            cols.append(dummy)
-            cols.append(dummy * x)
-        design = np.column_stack(cols)
-        slope_idx, intercept_idx = 1, 0
+        origins = ()
+    elif len(origins) != len(points):
+        raise DomainError("origins must align with points")
+    # intercept and ln(n) come first, so coef[0] and coef[1] are theirs
+    cols = [np.ones_like(x), x]
+    for level in sorted(set(origins))[1:]:
+        dummy = np.array([1.0 if o == level else 0.0 for o in origins])
+        cols += [dummy, dummy * x]
+    design = np.column_stack(cols)
 
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
@@ -149,14 +145,14 @@ def loglog_regression(
     se = np.sqrt(np.diag(cov))
     if not np.all(se > 0):
         raise DomainError("degenerate regression: zero residual variance")
-    slope = float(coef[slope_idx])
-    se_slope = float(se[slope_idx])
+    slope = float(coef[1])
+    se_slope = float(se[1])
     t_slope = slope / se_slope
     return RegressionFit(
         slope=slope,
-        intercept=float(coef[intercept_idx]),
+        intercept=float(coef[0]),
         se_slope=se_slope,
-        se_intercept=float(se[intercept_idx]),
+        se_intercept=float(se[0]),
         t_slope=float(t_slope),
         p_slope=_t_two_sided_p(t_slope, df),
         n_points=len(points),
@@ -198,30 +194,21 @@ def pearson_test(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(r=r, t=t, df=df, p=_t_two_sided_p(t, df))
 
 
-def band_coverage(
-    counts: CountVector, n: int | None = None, level: float = 0.95
-) -> float:
+def band_coverage(counts: CountVector) -> float:
     """Fraction of observed rank probabilities inside the fitted bands.
 
     Fits the concentration from the CWJ entropy, then checks each
-    observed rank probability against the level-gamma order-statistic
-    interval of the fitted Dirichlet.
+    observed rank probability against the 95 % order-statistic interval
+    of the fitted Dirichlet.
     """
     estimate = cwj_entropy(counts)
-    if n is None:
-        n = estimate.support_size
+    n = estimate.support_size
     alpha_hat = solve_alpha(estimate.value, n)
-    spec = DirichletSpec(n, alpha_hat)
+    low, high = order_statistic_bands(DirichletSpec(n, alpha_hat), 0.95)
     positive = np.sort(counts.positive_counts())[::-1]
     observed = positive / positive.sum()
-    q_lo, q_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
-    inside = 0
-    for rank, prob in enumerate(observed, start=1):
-        j = n - rank + 1
-        lo = order_statistic_quantile(spec, j, q_lo)
-        hi = order_statistic_quantile(spec, j, q_hi)
-        inside += int(lo <= prob <= hi)
-    return inside / len(observed)
+    inside = (low <= observed) & (observed <= high)
+    return int(inside.sum()) / len(observed)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ features, maxent, regress, report.  Outputs are deterministic: floats are
 printed with 12 significant digits, JSON keys are sorted, and every
 output embeds the configuration it was produced with.
 
-Exit codes: 0 success, 2 usage, 3 ingest, 4 numerical/infeasibility.
+Exit codes: 0 success, 2 usage, 3 ingest/domain/coverage, 4 numerical/infeasibility.
 """
 
 from __future__ import annotations
@@ -14,24 +14,23 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, corpus, dirichlet, entropy, io, maxent
-from .errors import (
-    CoverageError,
-    DomainError,
-    InfeasibleError,
-    IngestError,
-    NumericalError,
-)
+from .errors import InfeasibleError, NumericalError, PhonodistError
 
 SCHEMA_VERSION = 2
 
 _EXIT_INGEST = 3
 _EXIT_NUMERICAL = 4
+# reconstruct's cost grows with n without bound; the library takes any n
+_RECONSTRUCT_MAX_N = 2000
+# argparse reads -1 and -.5 as negative numbers but -1e-2 as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _fmt(x: float) -> str:
@@ -78,6 +77,13 @@ def _inventory_arg(value: str) -> int:
     return n
 
 
+def _reconstruct_n_arg(value: str) -> int:
+    n = _inventory_arg(value)
+    if n > _RECONSTRUCT_MAX_N:
+        raise argparse.ArgumentTypeError(f"reconstruct takes n <= {_RECONSTRUCT_MAX_N}, got {n}")
+    return n
+
+
 def _positive_arg(value: str) -> float:
     try:
         x = float(value)
@@ -88,10 +94,10 @@ def _positive_arg(value: str) -> float:
     return x
 
 
-def _gamma_arg(value: str) -> float:
+def _unit_interval_arg(value: str) -> float:
     x = _positive_arg(value)
     if not x < 1:
-        raise argparse.ArgumentTypeError(f"confidence level must lie in (0, 1), got {x}")
+        raise argparse.ArgumentTypeError(f"value must lie in (0, 1), got {x}")
     return x
 
 
@@ -251,29 +257,18 @@ def cmd_report(args) -> None:
         (Path(path).stem, io.load_frequency_table(path), None) for path in args.tables
     ]
     report = analysis.compensation_report(languages)
-    rows = []
-    for row in report.rows:
-        rows.append(
-            {
-                "language": row.name,
-                "n": row.n,
-                "H_cwj": row.entropy_cwj,
-                "H_max": row.h_max,
-                "relative_entropy": row.relative_entropy,
-                "alpha_hat": row.alpha_hat,
-                "guessed_relative_entropy": row.guessed_relative_entropy,
-                "note": row.note,
-            }
-        )
+    renamed = {"name": "language", "entropy_cwj": "H_cwj", "h_max": "H_max"}
+    rows = [
+        {renamed.get(key, key): value for key, value in dataclasses.asdict(row).items()}
+        for row in report.rows
+    ]
+    fitted = report.regression is not None
     payload = {
         "languages": rows,
-        "regression": None,
-        "law": None,
+        "regression": dataclasses.asdict(report.regression) if fitted else None,
+        "law": dataclasses.asdict(report.law) if fitted else None,
         "config": {},
     }
-    if report.regression is not None:
-        payload["regression"] = dataclasses.asdict(report.regression)
-        payload["law"] = dataclasses.asdict(report.law)
     _emit_json(payload, args.output)
 
 
@@ -289,53 +284,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_inventory_arg, default=None,
                    help="declared inventory size (default: distinct phonemes in table)")
     p.add_argument("--language", default=None)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_fit_alpha)
 
     p = sub.add_parser("predict-alpha", help="concentration predicted from inventory size")
     p.add_argument("--n", type=_inventory_arg, required=True)
     _add_law_args(p)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_predict_alpha)
 
     p = sub.add_parser("reconstruct", help="rank-frequency table from inventory size alone")
-    p.add_argument("--n", type=_inventory_arg, required=True)
-    p.add_argument("--gamma", type=_gamma_arg, default=0.95,
+    p.add_argument("--n", type=_reconstruct_n_arg, required=True,
+                   help=f"inventory size, 2 to {_RECONSTRUCT_MAX_N}")
+    p.add_argument("--gamma", type=_unit_interval_arg, default=0.95,
                    help="confidence level for the bands (default 0.95)")
     _add_law_args(p)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("estimate-entropy", help="plug-in and CWJ entropy of a table")
     p.add_argument("table")
     p.add_argument("--n", type=_inventory_arg, default=None)
     p.add_argument("--language", default=None)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_estimate_entropy)
 
     p = sub.add_parser("features", help="extract maxent features from a lexicon")
     p.add_argument("lexicon")
     p.add_argument("incidence")
-    p.add_argument("--coverage-floor", type=_gamma_arg, default=0.85)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--coverage-floor", type=_unit_interval_arg, default=0.85)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("maxent", help="solve the maximum-entropy problem for a feature table")
     p.add_argument("features")
     p.add_argument("--tol", type=_positive_arg, default=1e-10)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_maxent)
 
     p = sub.add_parser("regress", help="log-log regression over (n, alpha_hat) rows")
     p.add_argument("fits")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("report", help="compensation report over many frequency tables")
     p.add_argument("tables", nargs="+")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.add_argument("-o", "--output", default=None)
     return parser
 
 
@@ -343,15 +334,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except IngestError as exc:
+    except PhonodistError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INGEST
-    except (InfeasibleError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except (DomainError, CoverageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INGEST
+        numerical = isinstance(exc, (InfeasibleError, NumericalError))
+        return _EXIT_NUMERICAL if numerical else _EXIT_INGEST
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -63,11 +63,7 @@ class PhonemizedLexicon:
     inventory: frozenset[str]
 
     @classmethod
-    def build(
-        cls,
-        entries: Iterable[tuple[Sequence[str], int]],
-        inventory: Iterable[str] | None = None,
-    ) -> "PhonemizedLexicon":
+    def build(cls, entries: Iterable[tuple[Sequence[str], int]]) -> "PhonemizedLexicon":
         merged: dict[Word, int] = {}
         for seq, count in entries:
             word = tuple(seq)
@@ -80,16 +76,9 @@ class PhonemizedLexicon:
             merged[word] = merged.get(word, 0) + int(count)
         if not merged:
             raise DomainError("lexicon is empty")
-        observed = {p for word in merged for p in word}
-        if inventory is None:
-            inv = frozenset(observed)
-        else:
-            inv = frozenset(inventory)
-            missing = observed - inv
-            if missing:
-                raise DomainError(f"phonemes not in declared inventory: {sorted(missing)}")
+        inventory = frozenset(p for word in merged for p in word)
         ordered = tuple(sorted(merged.items()))
-        return cls(entries=ordered, inventory=inv)
+        return cls(entries=ordered, inventory=inventory)
 
     @property
     def total_tokens(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "expected_entropy",
     "marginal_cdf",
     "marginal_pdf",
+    "order_statistic_bands",
     "order_statistic_moments",
     "order_statistic_pdf",
     "order_statistic_quantile",
@@ -160,7 +161,7 @@ def expected_entropy(spec: DirichletSpec) -> float:
     return digamma(spec.alpha * spec.n + 1) - digamma(spec.alpha + 1)
 
 
-def solve_alpha(entropy_hat: float, n: int, tol: float = 1e-12) -> float:
+def solve_alpha(entropy_hat: float, n: int) -> float:
     """Invert expected_entropy in alpha for a fixed inventory size.
 
     The map alpha -> expected entropy is strictly increasing with range
@@ -192,7 +193,7 @@ def solve_alpha(entropy_hat: float, n: int, tol: float = 1e-12) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
     alpha = math.exp(0.5 * (lo + hi))
-    if abs(expected_entropy(DirichletSpec(n, alpha)) - entropy_hat) > max(tol, 1e-10):
+    if abs(expected_entropy(DirichletSpec(n, alpha)) - entropy_hat) > 1e-10:
         raise NumericalError("concentration root did not reach tolerance")
     return alpha
 
@@ -243,17 +244,19 @@ def _log_order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
     )
 
 
-def _check_rank(spec: DirichletSpec, r) -> int:
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise DomainError(f"order-statistic index must be an integer, got {r!r}")
-    if not 1 <= r <= spec.n:
-        raise DomainError(f"order-statistic index {r} outside 1..{spec.n}")
-    return int(r)
+def _check_rank(spec: DirichletSpec, r):
+    """r as an int, or an integer array of ranks as an array, all in 1..n."""
+    ranks = np.asarray(r)
+    if ranks.dtype.kind not in "iu" or not ((ranks >= 1) & (ranks <= spec.n)).all():
+        raise DomainError(f"order-statistic index must be an integer in 1..{spec.n}, got {r!r}")
+    return ranks if ranks.ndim else int(ranks)
 
 
 def order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
-    """Density of the r-th smallest of n Dirichlet components at x.
+    """Density at x of the r-th smallest of n iid Beta(alpha, (n-1)alpha) draws.
 
+    That is the iid Beta-marginal construction; the Dirichlet components
+    are dependent, so it only approximates the Dirichlet's order statistics.
     Evaluated in log space so factorial ratios stay finite up to n ~ 200.
     """
     r = _check_rank(spec, r)
@@ -363,21 +366,35 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
     return OrderStatSummary(n=n, alpha=spec.alpha, mean=means, sd=sds)
 
 
-def order_statistic_quantile(spec: DirichletSpec, r: int, q: float) -> float:
+def order_statistic_quantile(spec: DirichletSpec, r, q: float):
     """Quantile of the r-th order statistic of the Beta marginal.
 
     The order-statistic CDF is I_F(x)(r, n-r+1), so the quantile is two
-    nested incomplete-beta inversions.
+    nested incomplete-beta inversions.  An int r gives a float; an integer
+    array of ranks gives the array of their quantiles.
     """
     r = _check_rank(spec, r)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
     from scipy import special
-    u = float(special.betaincinv(r, spec.n - r + 1, q))
-    x = float(special.betaincinv(spec.beta_a, spec.beta_b, u))
-    if not math.isfinite(x):
-        raise NumericalError(f"quantile inversion failed for r={r}, q={q}")
-    return x
+    u = special.betaincinv(r, spec.n - r + 1, q)
+    x = special.betaincinv(spec.beta_a, spec.beta_b, u)
+    failed = np.flatnonzero(~np.isfinite(x))
+    if failed.size:
+        raise NumericalError(f"quantile inversion failed for r={np.ravel(r)[failed[0]]}, q={q}")
+    return x if np.ndim(r) else float(x)
+
+
+def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's central ``level`` band (low, high), indexed by rank - 1.
+
+    Rank r is the (n-r+1)-th smallest component; its band runs from the
+    (1-level)/2 to the (1+level)/2 quantile of order_statistic_quantile.
+    """
+    smallest = np.arange(spec.n, 0, -1)  # order-statistic index of each rank
+    low = order_statistic_quantile(spec, smallest, (1.0 - level) / 2.0)
+    high = order_statistic_quantile(spec, smallest, (1.0 + level) / 2.0)
+    return low, high
 
 
 def reconstruct_from_inventory(
@@ -388,21 +405,7 @@ def reconstruct_from_inventory(
     """Predicted rank-frequency curve (with confidence bands) from n alone."""
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
-    spec = DirichletSpec(_check_inventory(n), predict_alpha(n, law))
+    spec = DirichletSpec(n, predict_alpha(n, law))
     summary = order_statistic_moments(spec)
-    q_lo, q_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
-    ci_low = np.empty(n)
-    ci_high = np.empty(n)
-    for rank in range(1, n + 1):
-        j = n - rank + 1
-        ci_low[rank - 1] = order_statistic_quantile(spec, j, q_lo)
-        ci_high[rank - 1] = order_statistic_quantile(spec, j, q_hi)
-    return OrderStatSummary(
-        n=n,
-        alpha=spec.alpha,
-        mean=summary.mean,
-        sd=summary.sd,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        level=level,
-    )
+    ci_low, ci_high = order_statistic_bands(spec, level)
+    return replace(summary, ci_low=ci_low, ci_high=ci_high, level=level)

@@ -126,7 +126,7 @@ def guessed_distribution(lambdas: np.ndarray, features: np.ndarray) -> np.ndarra
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if not (np.all(np.isfinite(features)) and np.all(np.isfinite(lambdas))):
         raise DomainError("features and multipliers must be finite")
-    scores = features @ lambdas if lambdas.size else np.zeros(features.shape[0])
+    scores = features @ lambdas
     logp = scores - logsumexp(scores)
     probs = np.exp(logp)
     tiny = np.finfo(float).tiny
@@ -137,8 +137,7 @@ def guessed_distribution(lambdas: np.ndarray, features: np.ndarray) -> np.ndarra
 
 
 def _dual(lambdas: np.ndarray, feats: np.ndarray, targets: np.ndarray) -> float:
-    scores = feats @ lambdas if lambdas.size else np.zeros(feats.shape[0])
-    return float(logsumexp(scores) - lambdas @ targets)
+    return float(logsumexp(feats @ lambdas) - lambdas @ targets)
 
 
 def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
@@ -193,7 +192,11 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
         slope = grad @ step
         if -slope <= 1e-13 * max(1.0, abs(d0)):
             # predicted decrease is below the dual's floating-point
-            # resolution; inside the Newton basin, take the full step
+            # resolution; inside the Newton basin, take the full step.  A
+            # step that rounds back to lambda would repeat until _MAX_ITER
+            if np.array_equal(lam + step, lam):
+                raise NumericalError(f"no convergence: lambda stuck at iteration {iterations} "
+                                     f"with residual {np.max(np.abs(grad)):.3g}")
             lam = lam + step
             continue
         t = 1.0
@@ -212,7 +215,7 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     else:
         raise NumericalError(f"no convergence within {_MAX_ITER} iterations")
 
-    if rank_deficient and k > 0:
+    if rank_deficient:
         # same Gibbs distribution, minimum-norm multipliers
         lam = np.linalg.pinv(feats, rcond=1e-12) @ (feats @ lam)
 

@@ -111,8 +111,27 @@ class TestPredictAlpha:
         n, coeff_a, exponent_b = law
         args = ["--n", n, "--coeff-a", coeff_a, "--exponent-b", exponent_b]
         message = "error: concentration coeff_a * n**exponent_b overflows a float\n"
+        assert run(capsys, "predict-alpha", *args) == (3, "", message)
+        # reconstruct rejects n above its limit before it computes the law
+        # (TestReconstruct.test_n_above_the_limit_is_a_usage_error)
+        if int(n) <= 2000:
+            assert run(capsys, "reconstruct", *args) == (3, "", message)
+
+    @pytest.mark.parametrize("exponent_b, value", [("-1e-2", -0.01), ("-2.5E+1", -25.0),
+                                                   ("-.5e1", -5.0)])
+    def test_negative_exponent_notation_is_a_number(self, capsys, exponent_b, value):
+        payload = run_json(capsys, "predict-alpha", "--n", "10", "--exponent-b", exponent_b)
+        assert payload["config"]["exponent_b"] == value
         for command in ("predict-alpha", "reconstruct"):
-            assert run(capsys, command, *args) == (3, "", message)
+            spaced = run(capsys, command, "--n", "10", "--exponent-b", exponent_b)
+            assert spaced[0] != 2
+            assert spaced == run(capsys, command, "--n", "10", f"--exponent-b={exponent_b}")
+
+    def test_negative_coeff_a_in_exponent_notation_is_not_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["predict-alpha", "--n", "10", "--coeff-a", "-1e-2"])
+        assert excinfo.value.code == 2
+        assert "argument --coeff-a: value must be positive, got -0.01" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -141,6 +160,22 @@ class TestReconstruct:
         assert cli.main(["reconstruct", "--n", "17", "-o", str(a)]) == 0
         assert cli.main(["reconstruct", "--n", "17", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", ["2001", "100000", "9" * 400])
+    def test_n_above_the_limit_is_a_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["reconstruct", "--n", n])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"phonodist reconstruct: error: argument --n: reconstruct takes n <= 2000, got {n}"
+        ]
+
+    def test_limit_is_in_the_help_and_admitted(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["reconstruct", "--help"])
+        assert "inventory size, 2 to 2000" in capsys.readouterr().out
+        assert cli.build_parser().parse_args(["reconstruct", "--n", "2000"]).n == 2000
 
     def test_bad_gamma_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -293,6 +328,23 @@ class TestRegress:
         assert code == 3
         assert out == ""
         assert err == f"error: {fits}:3: n and alpha_hat must be finite and > 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--n", "10", "--gamma", "1.5"],
+        ["features", data_path("toy_a.lex"), data_path("toy_incidence.tsv"),
+         "--coverage-floor", "1.5"],
+    ],
+)
+def test_unit_interval_options_share_a_neutral_message(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: value must lie in (0, 1), got 1.5" in err
+    assert "confidence" not in err
 
 
 def test_json_output_refuses_non_finite_values():
@@ -536,13 +588,15 @@ def _law_argv(command, n):
 
 
 # argv strategies for the subcommands that read no file; reconstruct stays
-# at n <= 60, since its cost grows with n and it has no upper bound on n yet
+# at n <= 60, since its cost grows with n, apart from n above its limit
 _NO_FILE = {
     "predict-alpha": _law_argv(
         "predict-alpha",
         _cells(st.one_of(st.integers(2, 10**4), st.integers()).map(str), _ODD_N + ["9" * 400]),
     ),
-    "reconstruct": _law_argv("reconstruct", _cells(st.integers(2, 60).map(str), _ODD_N)),
+    "reconstruct": _law_argv(
+        "reconstruct", _cells(st.integers(2, 60).map(str), _ODD_N + ["2001", "100000"])
+    ),
 }
 
 

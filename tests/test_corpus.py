@@ -84,10 +84,6 @@ class TestLexiconConstruction:
         with pytest.raises(DomainError):
             PhonemizedLexicon.build([((END_MARKER,), 1)])
 
-    def test_rejects_out_of_inventory(self):
-        with pytest.raises(DomainError):
-            PhonemizedLexicon.build([(("a", "z"), 1)], inventory={"a"})
-
 
 class TestPhonemeProbabilities:
     def test_two_tokens(self):

@@ -14,6 +14,7 @@ from phonodist.dirichlet import (
     expected_entropy,
     marginal_cdf,
     marginal_pdf,
+    order_statistic_bands,
     order_statistic_moments,
     order_statistic_pdf,
     order_statistic_quantile,
@@ -343,6 +344,24 @@ class TestOrderStatisticQuantile:
         density = order_statistic_pdf(spec, 3, x)
         se = math.sqrt(0.95 * 0.05 / 10**6) / density
         assert abs(x - empirical) < 3 * se
+
+
+class TestOrderStatisticBands:
+    @pytest.mark.parametrize("n", [2, 11, 160, 600])
+    @pytest.mark.parametrize("level", [0.5, 0.95, 0.999])
+    def test_equal_the_scalar_quantiles_bit_for_bit(self, n, level):
+        spec = DirichletSpec(n, predict_alpha(n))
+        low, high = order_statistic_bands(spec, level)
+        for rank in range(1, n + 1):
+            j = n - rank + 1
+            assert low[rank - 1] == order_statistic_quantile(spec, j, (1.0 - level) / 2.0)
+            assert high[rank - 1] == order_statistic_quantile(spec, j, (1.0 + level) / 2.0)
+
+    def test_array_ranks_are_checked(self):
+        spec = DirichletSpec(5, 1.0)
+        for ranks in ([0, 1], [1, 6], [1.0, 2.0], [True, False]):
+            with pytest.raises(DomainError):
+                order_statistic_quantile(spec, np.array(ranks), 0.5)
 
 
 class TestReconstruct:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -376,8 +377,8 @@ def test_feasibility_verdicts_match_a_linear_program():
         except NumericalError as exc:
             # a fault of the Newton loop, not of the certificates, pinned
             # below: on one feasible face target the steps stop moving the
-            # multipliers with the residual at 1.9e-10, and the iterations
-            # run out
+            # multipliers with the residual at 1.9e-10
+            # (test_stalled_face_target_fails_fast)
             assert lp.success and "no convergence" in str(exc), (kind, feats, targets)
             verdict = "stalled"
         else:
@@ -395,3 +396,20 @@ def test_feasibility_verdicts_match_a_linear_program():
     for kind, total in (("interior", 120), ("face", 119), ("vertex", 120)):
         assert verdicts[kind, True, "converged"] + verdicts[kind, False, "converged"] == total
     assert verdicts["outside", False, "separated"] > 0
+
+
+def test_stalled_face_target_fails_fast():
+    """The stalled face target of the sweep above (trial 456) stops as soon
+    as a full Newton step leaves lambda unchanged, instead of spinning
+    through every iteration."""
+    rng = np.random.default_rng(2026)
+    kinds = ("interior", "face", "vertex", "outside", "box")
+    for trial in range(457):
+        feats, targets = _oracle_case(rng, kinds[trial % len(kinds)], trial % 4 == 0)
+    problem = MaxEntProblem(labels(feats.shape[0]), feats, targets)
+    with pytest.raises(NumericalError, match="no convergence: lambda stuck") as excinfo:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solve(problem)
+    iteration = int(re.search(r"at iteration (\d+)", str(excinfo.value)).group(1))
+    assert iteration <= 200
