@@ -1,59 +1,83 @@
 """Phoneme frequency distributions: Dirichlet order-statistic fits and
-maximum-entropy guessing from corpus-derived constraints."""
+maximum-entropy guessing from corpus-derived constraints.
 
-from .analysis import (
-    CompensationReport,
-    CorrelationResult,
-    RegressionFit,
-    compensation_report,
-    implied_scaling_law,
-    loglog_regression,
-    pearson_test,
-)
-from .corpus import (
-    ConstraintVector,
-    FeatureTable,
-    IncidenceTable,
-    PhonemizedLexicon,
-    build_feature_table,
-    constraint_expectations,
-    lexical_conditional_diversity,
-    lexical_information_gain_exact,
-    phoneme_probabilities,
-    physical_cost,
-    segmental_information,
-)
-from .dirichlet import (
-    AlphaScalingLaw,
-    DirichletSpec,
-    OrderStatSummary,
-    digamma,
-    expected_entropy,
-    marginal_cdf,
-    marginal_pdf,
-    order_statistic_bands,
-    order_statistic_moments,
-    order_statistic_pdf,
-    order_statistic_quantile,
-    predict_alpha,
-    reconstruct_from_inventory,
-    solve_alpha,
-)
-from .entropy import (
-    CountVector,
-    EntropyEstimate,
-    cwj_entropy,
-    plugin_entropy,
-    relative_entropy,
-)
-from .errors import (
-    CoverageError,
-    DomainError,
-    InfeasibleError,
-    IngestError,
-    NumericalError,
-    PhonodistError,
-)
-from .maxent import MaxEntProblem, MaxEntSolution, guessed_distribution, solve
+The names below are loaded on first access (PEP 562), so that importing
+the package, or a subcommand that needs only scalar arithmetic, loads no
+numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "analysis": (
+        "CompensationReport",
+        "CorrelationResult",
+        "RegressionFit",
+        "compensation_report",
+        "implied_scaling_law",
+        "loglog_regression",
+        "pearson_test",
+    ),
+    "corpus": (
+        "ConstraintVector",
+        "FeatureTable",
+        "IncidenceTable",
+        "PhonemizedLexicon",
+        "build_feature_table",
+        "constraint_expectations",
+        "lexical_conditional_diversity",
+        "lexical_information_gain_exact",
+        "phoneme_probabilities",
+        "physical_cost",
+        "segmental_information",
+    ),
+    "dirichlet": (
+        "AlphaScalingLaw",
+        "DirichletSpec",
+        "OrderStatSummary",
+        "digamma",
+        "expected_entropy",
+        "marginal_cdf",
+        "marginal_pdf",
+        "order_statistic_bands",
+        "order_statistic_moments",
+        "order_statistic_pdf",
+        "order_statistic_quantile",
+        "predict_alpha",
+        "reconstruct_from_inventory",
+        "solve_alpha",
+    ),
+    "entropy": (
+        "CountVector",
+        "EntropyEstimate",
+        "cwj_entropy",
+        "plugin_entropy",
+        "relative_entropy",
+    ),
+    "errors": (
+        "CoverageError",
+        "DomainError",
+        "InfeasibleError",
+        "IngestError",
+        "NumericalError",
+        "PhonodistError",
+    ),
+    "maxent": ("MaxEntProblem", "MaxEntSolution", "guessed_distribution", "solve"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -2,24 +2,26 @@
 
 Log-log regression of the fitted concentration on inventory size,
 Pearson correlation with t-tests, and the compensation report comparing
-observed and guessed relative entropies across languages.  Student-t
-tail probabilities come from the finite sums for integer degrees of
-freedom, so this module needs numpy alone.
+observed and guessed relative entropies across languages.  The
+regression is closed-form least squares and the Student-t tail
+probabilities come from the finite sums for integer degrees of freedom,
+so only ``band_coverage`` imports numpy.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
 from .entropy import CountVector, cwj_entropy, relative_entropy
 from .errors import DomainError
-from .maxent import MaxEntSolution
+
+if TYPE_CHECKING:
+    from .maxent import MaxEntSolution
 
 __all__ = [
     "CompensationReport",
@@ -101,6 +103,28 @@ def _t_two_sided_p(t: float, df: int) -> float:
     return tail * (2 / math.pi) if odd else tail
 
 
+# a residual standard error within this many ulps of the largest
+# |ln alpha_hat| or |slope * ln n| is rounding noise, not scatter: float
+# power laws alpha = a * n**b, evaluated exactly, stay below 2 of them
+_EXACT_FIT_ULPS = 16
+
+
+def _line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float, float]:
+    """Least-squares line through one group of points.
+
+    Returns the intercept, the slope, the residual sum of squares and the
+    diagonal of (X'X)^-1 for the intercept and the slope.
+    """
+    k = len(xs)
+    mx, my = math.fsum(xs) / k, math.fsum(ys) / k
+    dx = [x - mx for x in xs]
+    sxx = math.fsum(d * d for d in dx)
+    slope = math.fsum(d * (y - my) for d, y in zip(dx, ys)) / sxx
+    intercept = my - slope * mx
+    rss = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    return intercept, slope, rss, 1.0 / k + mx * mx / sxx, 1.0 / sxx
+
+
 def loglog_regression(
     points: Sequence[tuple[float, float]],
     origins: Sequence[str] | None = None,
@@ -109,51 +133,50 @@ def loglog_regression(
 
     With ``origins`` given, dataset origin and its interaction with
     ln(n) enter as dummy-coded covariates; the reported slope is then the
-    baseline-group coefficient on ln(n).
+    baseline-group coefficient on ln(n).  With every group's intercept and
+    slope free, the baseline (first origin in sort order) coefficients are
+    that group's own least-squares line, and the residual variance pools
+    every group's residuals over N - 2g degrees of freedom, so the fit is
+    closed-form.  Residuals at the level of rounding noise, as an exact
+    float power law leaves, count as zero residual variance.
     """
     if len(points) < 3:
         raise DomainError("regression needs at least 3 points")
-    ns = np.array([p[0] for p in points], dtype=float)
-    alphas = np.array([p[1] for p in points], dtype=float)
-    if np.any(ns <= 0) or np.any(alphas <= 0):
+    if not all(n > 0 and alpha > 0 for n, alpha in points):
         raise DomainError("all (n, alpha_hat) coordinates must be positive")
-    x = np.log(ns)
-    y = np.log(alphas)
-    if np.ptp(x) == 0:
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(alpha) for _, alpha in points]
+    if min(xs) == max(xs):
         raise DomainError("degenerate regression: no variance in ln(n)")
 
     if origins is None:
-        origins = ()
+        origins = [""] * len(points)
     elif len(origins) != len(points):
         raise DomainError("origins must align with points")
-    # intercept and ln(n) come first, so coef[0] and coef[1] are theirs
-    cols = [np.ones_like(x), x]
-    for level in sorted(set(origins))[1:]:
-        dummy = np.array([1.0 if o == level else 0.0 for o in origins])
-        cols += [dummy, dummy * x]
-    design = np.column_stack(cols)
-
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
+    groups: dict[str, tuple[list[float], list[float]]] = {}
+    for origin, x, y in zip(origins, xs, ys):
+        gx, gy = groups.setdefault(origin, ([], []))
+        gx.append(x)
+        gy.append(y)
+    if any(min(gx) == max(gx) for gx, _ in groups.values()):
         raise DomainError("degenerate regression design (collinear covariates)")
-    resid = y - design @ coef
-    df = len(points) - design.shape[1]
+    df = len(points) - 2 * len(groups)
     if df <= 0:
         raise DomainError("not enough points for the requested covariates")
-    s2 = float(resid @ resid) / df
-    cov = s2 * np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.diag(cov))
-    if not np.all(se > 0):
+    lines = {origin: _line(*groups[origin]) for origin in groups}
+    intercept, slope, _, v_intercept, v_slope = lines[min(groups)]
+    s2 = math.fsum(line[2] for line in lines.values()) / df
+    scale = max(max(abs(y), abs(lines[o][1] * x)) for o, x, y in zip(origins, xs, ys))
+    if math.sqrt(s2) <= _EXACT_FIT_ULPS * sys.float_info.epsilon * scale:
         raise DomainError("degenerate regression: zero residual variance")
-    slope = float(coef[1])
-    se_slope = float(se[1])
+    se_slope = math.sqrt(s2 * v_slope)
     t_slope = slope / se_slope
     return RegressionFit(
         slope=slope,
-        intercept=float(coef[0]),
+        intercept=intercept,
         se_slope=se_slope,
-        se_intercept=float(se[0]),
-        t_slope=float(t_slope),
+        se_intercept=math.sqrt(s2 * v_intercept),
+        t_slope=t_slope,
         p_slope=_t_two_sided_p(t_slope, df),
         n_points=len(points),
     )
@@ -172,21 +195,22 @@ def implied_scaling_law(fit: RegressionFit) -> AlphaScalingLaw:
 
 def pearson_test(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Sample Pearson correlation with a two-sided t-test."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) != len(y):
         raise DomainError("x and y must have equal length")
-    if x.size < 3:
+    if len(x) < 3:
         raise DomainError("correlation needs at least 3 pairs")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    xc = [v - mx for v in x]
+    yc = [v - my for v in y]
+    sx = math.fsum(v * v for v in xc)
+    sy = math.fsum(v * v for v in yc)
     if sx == 0 or sy == 0:
         raise DomainError("correlation undefined for zero-variance input")
-    r = float(xc @ yc / math.sqrt(sx * sy))
+    r = math.fsum(a * b for a, b in zip(xc, yc)) / math.sqrt(sx * sy)
     r = max(-1.0, min(1.0, r))
-    df = x.size - 2
+    df = len(x) - 2
     if abs(r) == 1.0:
         t = math.inf if r > 0 else -math.inf
     else:
@@ -201,6 +225,8 @@ def band_coverage(counts: CountVector) -> float:
     observed rank probability against the 95 % order-statistic interval
     of the fitted Dirichlet.
     """
+    import numpy as np
+
     estimate = cwj_entropy(counts)
     n = estimate.support_size
     alpha_hat = solve_alpha(estimate.value, n)

@@ -6,6 +6,9 @@ printed with 12 significant digits, JSON keys are sorted, and every
 output embeds the configuration it was produced with.
 
 Exit codes: 0 success, 2 usage, 3 ingest/domain/coverage, 4 numerical/infeasibility.
+
+Only features and maxent import the corpus and maxent modules, and numpy
+with them; reconstruct loads numpy and scipy.special through dirichlet.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, corpus, dirichlet, entropy, io, maxent
+from . import analysis, dirichlet, entropy, io
 from .errors import InfeasibleError, NumericalError, PhonodistError
 
 SCHEMA_VERSION = 2
@@ -187,6 +188,8 @@ def cmd_estimate_entropy(args) -> None:
 
 
 def cmd_features(args) -> None:
+    from . import corpus
+
     lexicon = io.load_lexicon(args.lexicon)
     incidence = io.load_incidence(args.incidence)
     table = corpus.build_feature_table(lexicon, incidence, coverage_floor=args.coverage_floor)
@@ -214,6 +217,8 @@ def cmd_features(args) -> None:
 
 
 def cmd_maxent(args) -> None:
+    from . import corpus, maxent
+
     table = io.load_feature_table(args.features)
     constraints = corpus.constraint_expectations(table)
     problem = maxent.MaxEntProblem(
@@ -330,6 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_failures() -> tuple[type[Exception], ...]:
+    """Exceptions that end a run with exit 4 besides the package's own.
+
+    numpy's LinAlgError counts only once numpy is loaded; before that,
+    nothing can raise it.
+    """
+    linalg = sys.modules.get("numpy.linalg")
+    return (OverflowError, FloatingPointError) + ((linalg.LinAlgError,) if linalg else ())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -338,7 +353,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         numerical = isinstance(exc, (InfeasibleError, NumericalError))
         return _EXIT_NUMERICAL if numerical else _EXIT_INGEST
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except _numerical_failures() as exc:
         print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return _EXIT_NUMERICAL
     return 0

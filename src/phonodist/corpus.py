@@ -199,7 +199,7 @@ def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
 
     def word_entropy(prefix: Word) -> float:
         """Plug-in entropy over words consistent with the prefix."""
-        return plugin_estimate(np.asarray(word_counts[prefix], dtype=float))
+        return plugin_estimate(word_counts[prefix])
 
     total_tokens = lexicon.total_tokens
     gains: dict[tuple[str, Word], float] = {}

@@ -5,19 +5,24 @@ symmetric Dirichlet with concentration ``alpha``; its marginals are
 Beta(alpha, (n-1)*alpha).  The rank-frequency curve is the sequence of
 order-statistic means of that marginal (rank 1 = largest order statistic),
 and the concentration itself follows a power law in the inventory size.
-All entropies are in nats.  scipy.special is imported inside the functions
-that need it, so that importing this module loads numpy alone.
+All entropies are in nats.  numpy and scipy.special are imported inside
+the order-statistic functions and the array path of ``digamma``, so that
+importing this module, or fitting and predicting a concentration, loads
+neither.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InfeasibleError, NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AlphaScalingLaw",
@@ -41,7 +46,7 @@ _QUAD_LIMIT = 500
 
 
 def _check_inventory(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise DomainError(f"inventory size must be an integer, got {n!r}")
     if n < 2:
         raise DomainError(f"inventory size must be >= 2, got {n}")
@@ -115,12 +120,10 @@ class OrderStatSummary:
 
 _LN10_HI = 2.302585092994046
 _LN10_LO = -2.1707562233822494e-16  # ln 10 - _LN10_HI
-_SHIFTS = np.arange(10.0)
 # psi(y) - ln(y) is the sum of c * w**p, w = 1/y, over these (c, p) for
 # y >= 10: -w/2, then -B_2k w**2k / 2k through B_12
 _PSI_TERMS = ((-1 / 2, 1), (-1 / 12, 2), (1 / 120, 4), (-1 / 252, 6), (1 / 240, 8),
               (-1 / 132, 10), (691 / 32760, 12))
-_PSI_COEFFS, _PSI_POWERS = (np.array(column) for column in zip(*_PSI_TERMS))
 
 
 def digamma(x):
@@ -132,7 +135,7 @@ def digamma(x):
     happens at the size of ln 10 and psi stays accurate where it crosses
     zero (x = 1.4616...).  Scalars return a float, arrays an array.
     """
-    if np.isscalar(x):
+    if isinstance(x, numbers.Number):
         if not (math.isfinite(x) and x > 0):
             raise DomainError(f"digamma requires finite x > 0, got {x!r}")
         x = float(x)
@@ -142,15 +145,18 @@ def digamma(x):
             return math.log(x) + rest
         parts = [_LN10_HI, _LN10_LO, math.log1p(x / 10.0), rest]
         return math.fsum(parts + [-1.0 / (x + i) for i in range(10)])
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if x.size and not (x.min() > 0 and x.max() < math.inf):
         raise DomainError("digamma requires finite x > 0 everywhere")
     small = x < 10.0
     y = x + 10.0 * small
-    rest = (1.0 / y)[..., None] ** _PSI_POWERS @ _PSI_COEFFS
+    coeffs, powers = (np.array(column) for column in zip(*_PSI_TERMS))
+    rest = (1.0 / y)[..., None] ** powers @ coeffs
     # computed for every element, kept where x < 10; cumsum takes the
     # reciprocals off ln 10 one by one, in order
-    parts = -1.0 / (x[..., None] + _SHIFTS)
+    parts = -1.0 / (x[..., None] + np.arange(10.0))
     parts[..., 0] += _LN10_HI
     raised = parts.cumsum(axis=-1)[..., -1] + (np.log1p(x / 10.0) + _LN10_LO)
     return np.where(small, raised, np.log(y)) + rest
@@ -246,6 +252,8 @@ def _log_order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
 
 def _check_rank(spec: DirichletSpec, r):
     """r as an int, or an integer array of ranks as an array, all in 1..n."""
+    import numpy as np
+
     ranks = np.asarray(r)
     if ranks.dtype.kind not in "iu" or not ((ranks >= 1) & (ranks <= spec.n)).all():
         raise DomainError(f"order-statistic index must be an integer in 1..{spec.n}, got {r!r}")
@@ -348,6 +356,8 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
     with the gamma order-statistic expectations as 1-D integrals.  At
     alpha = 1 this reproduces the harmonic-number closed form exactly.
     """
+    import numpy as np
+
     n, alpha = spec.n, spec.alpha
     means = np.empty(n)
     sds = np.empty(n)
@@ -376,7 +386,9 @@ def order_statistic_quantile(spec: DirichletSpec, r, q: float):
     r = _check_rank(spec, r)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
+    import numpy as np
     from scipy import special
+
     u = special.betaincinv(r, spec.n - r + 1, q)
     x = special.betaincinv(spec.beta_a, spec.beta_b, u)
     failed = np.flatnonzero(~np.isfinite(x))
@@ -391,6 +403,8 @@ def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray
     Rank r is the (n-r+1)-th smallest component; its band runs from the
     (1-level)/2 to the (1+level)/2 quantile of order_statistic_quantile.
     """
+    import numpy as np
+
     smallest = np.arange(spec.n, 0, -1)  # order-statistic index of each rank
     low = order_statistic_quantile(spec, smallest, (1.0 - level) / 2.0)
     high = order_statistic_quantile(spec, smallest, (1.0 + level) / 2.0)

@@ -3,16 +3,18 @@
 Provides the naive plug-in estimator and the bias-corrected
 Chao-Wang-Jost (CWJ) estimator, which uses singleton/doubleton counts to
 account for unseen categories under undersampling.  Values are in nats.
+Both are sums over Python numbers, so this module imports no numpy; the
+count arguments may still be numpy arrays.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .dirichlet import digamma
 from .errors import DomainError
@@ -39,7 +41,7 @@ class CountVector:
     def __post_init__(self):
         positive = 0
         for label, c in self.entries.items():
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
                 raise DomainError(f"count for {label!r} must be an integer, got {c!r}")
             if c < 0:
                 raise DomainError(f"count for {label!r} must be non-negative, got {c}")
@@ -57,8 +59,8 @@ class CountVector:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def positive_counts(self) -> np.ndarray:
-        return np.array([c for c in self.entries.values() if c > 0], dtype=np.int64)
+    def positive_counts(self) -> list[int]:
+        return [int(c) for c in self.entries.values() if c > 0]
 
 
 @dataclass(frozen=True)
@@ -68,33 +70,32 @@ class EntropyEstimate:
     support_size: int
 
 
-def plugin_estimate(counts: np.ndarray) -> float:
+def plugin_estimate(counts: Iterable[float]) -> float:
     """Plug-in Shannon entropy of raw positive counts (no bias correction)."""
-    counts = np.asarray(counts, dtype=float)
-    counts = counts[counts > 0]
-    p = counts / counts.sum()
-    return float(-np.sum(p * np.log(p)))
+    positive = [float(c) for c in counts if c > 0]
+    total = math.fsum(positive)
+    return -math.fsum(c / total * math.log(c / total) for c in positive)
 
 
-def cwj_estimate(counts: np.ndarray) -> float:
+def cwj_estimate(counts: Iterable[int]) -> float:
     """Chao-Wang-Jost entropy estimate from raw positive integer counts.
 
     Accepts a single category (returns 0); the package-level contract for
     language distributions is enforced by CountVector instead.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    counts = counts[counts > 0]
-    total = int(counts.sum())
-    if counts.size <= 1 or total <= 1:
+    # f_x, the number of categories seen exactly x times
+    freq = {int(x): m for x, m in Counter(counts).items() if x > 0}
+    total = sum(x * m for x, m in freq.items())
+    if sum(freq.values()) <= 1 or total <= 1:
         return 0.0
 
-    # observed part: sum over 1 <= X_i <= N-1 of (X_i/N) * sum_{k=X_i}^{N-1} 1/k
-    observed = counts[counts <= total - 1]
-    partial_harmonic = digamma(total) - digamma(observed)
-    estimate = float(np.sum(observed / total * partial_harmonic))
+    # observed part: sum over categories of (X_i/N) * sum_{k=X_i}^{N-1} 1/k,
+    # one term per distinct count
+    psi_total = digamma(total)
+    estimate = math.fsum(m * (x / total) * (psi_total - digamma(x)) for x, m in freq.items())
 
-    f1 = int(np.count_nonzero(counts == 1))
-    f2 = int(np.count_nonzero(counts == 2))
+    f1 = freq.get(1, 0)
+    f2 = freq.get(2, 0)
     if f1 <= 1:
         return estimate
 
@@ -127,7 +128,7 @@ def plugin_entropy(counts: CountVector) -> EntropyEstimate:
     """Plug-in Shannon entropy of a count vector."""
     positive = counts.positive_counts()
     return EntropyEstimate(
-        value=plugin_estimate(positive), method="plug_in", support_size=positive.size
+        value=plugin_estimate(positive), method="plug_in", support_size=len(positive)
     )
 
 
@@ -137,13 +138,13 @@ def cwj_entropy(counts: CountVector) -> EntropyEstimate:
     if counts.total < 2:
         raise DomainError("CWJ estimation needs a sample of at least 2 tokens")
     return EntropyEstimate(
-        value=cwj_estimate(positive), method="cwj", support_size=positive.size
+        value=cwj_estimate(positive), method="cwj", support_size=len(positive)
     )
 
 
 def relative_entropy(estimate: EntropyEstimate, n: int) -> float:
     """Entropy as a fraction of its maximum ln(n), clamped into (0, 1]."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"inventory size must be an integer >= 2, got {n!r}")
     ratio = estimate.value / math.log(n)
     if ratio > 1.0:

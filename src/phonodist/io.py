@@ -6,7 +6,9 @@ NFC on ingest.  Counts are non-negative integers no larger than 2**63-1,
 and so are the token totals of frequency tables and lexicons, so that no
 int64 sum downstream can wrap.  A malformed row raises IngestError naming
 ``path:lineno``; a file that cannot be read or holds no data row raises
-it naming ``path``.
+it naming ``path``.  The corpus types, and numpy with them, are imported
+by the three readers that return them, so reading a frequency table or
+fit rows loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import math
 import unicodedata
 from pathlib import Path
-from typing import Iterator, Literal
+from typing import TYPE_CHECKING, Iterator, Literal
 
-import numpy as np
-
-from .corpus import FeatureTable, IncidenceTable, PhonemizedLexicon
 from .entropy import CountVector
 from .errors import DomainError, IngestError
+
+if TYPE_CHECKING:
+    from .corpus import FeatureTable, IncidenceTable, PhonemizedLexicon
 
 __all__ = [
     "load_feature_table",
@@ -112,6 +114,8 @@ def load_frequency_table(path: str | Path) -> CountVector:
 
 def load_lexicon(path: str | Path) -> PhonemizedLexicon:
     """Read `count<TAB>phoneme phoneme ...` rows into a lexicon."""
+    from .corpus import PhonemizedLexicon
+
     entries = []
     for lineno, (count_text, phonemes) in _rows(path, ("count", "phonemes")):
         count = _count(path, lineno, count_text)
@@ -133,6 +137,8 @@ _INCIDENCE_HEADER = ("phoneme", "languages_with", "languages_total")
 
 def load_incidence(path: str | Path) -> IncidenceTable:
     """Read the incidence TSV; p_i = languages_with / languages_total."""
+    from .corpus import IncidenceTable
+
     probs: dict[str, float] = {}
     for lineno, (label, with_text, total_text) in _rows(
         path, _INCIDENCE_HEADER, header="required"
@@ -156,6 +162,10 @@ _FEATURE_HEADER = ("phoneme", "observed_prob", "cost", "seg_info", "lex_div")
 
 def load_feature_table(path: str | Path) -> FeatureTable:
     """Read a feature TSV as written by `phonodist features`."""
+    import numpy as np
+
+    from .corpus import FeatureTable
+
     phonemes, rows = [], []
     for lineno, cells in _rows(path, _FEATURE_HEADER, header="required"):
         label = _nfc(cells[0].strip())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,20 +18,62 @@ from phonodist.errors import DomainError
 from phonodist.maxent import MaxEntProblem, solve
 
 
-def law_points(ns, law=None, rng=None, sigma=0.0):
+def law_points(ns, law=None, rng=None, sigma=0.0, wobble=0.0):
+    """(n, alpha) on a scaling law, with lognormal noise or an alternating
+    relative ``wobble`` of +-wobble."""
     law = law or AlphaScalingLaw()
     out = []
-    for n in ns:
-        alpha = law.coeff_a * n ** law.exponent_b
+    for i, n in enumerate(ns):
+        alpha = law.coeff_a * n ** law.exponent_b * (1.0 + wobble * (-1) ** i)
         if rng is not None and sigma > 0:
             alpha *= math.exp(rng.normal(scale=sigma))
         out.append((float(n), alpha))
     return out
 
 
+# exact float power laws alpha = a * n**b; a float evaluation leaves only
+# rounding noise around the line, which the fit must not read as scatter
+EXACT_LAW_GRID = list(itertools.product(
+    [1e-6, 0.3, 1.0, 19.47, 1e6],
+    [-3.0, -0.95, 0.0, 0.5, 2.0],
+    [(10, 20, 40), (11, 40, 160), tuple(range(11, 161, 7)), (100, 1000, 10000),
+     (500, 1000, 2000), tuple(range(2, 200))],
+))
+
+
+def ols_reference(points, origins):
+    """30-digit OLS of ln(alpha) on the full dummy design: intercept, ln n,
+    then a dummy and its interaction with ln n for every non-baseline origin."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        xs = [mpmath.log(n) for n, _ in points]
+        ys = [mpmath.log(a) for _, a in points]
+        rows = [[1, x] for x in xs]
+        for level in sorted(set(origins))[1:]:
+            for row, x, origin in zip(rows, xs, origins):
+                dummy = 1 if origin == level else 0
+                row += [dummy, dummy * x]
+        design = mpmath.matrix(rows)
+        gram_inv = (design.T * design) ** -1
+        coef = gram_inv * (design.T * mpmath.matrix(ys))
+        resid = mpmath.matrix(ys) - design * coef
+        df = len(points) - design.cols
+        s2 = mpmath.fsum(r * r for r in resid) / df
+        se_slope = mpmath.sqrt(s2 * gram_inv[1, 1])
+        t = coef[1] / se_slope
+        p = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, df / (df + t * t), regularized=True)
+        return {
+            "slope": coef[1], "intercept": coef[0], "se_slope": se_slope,
+            "se_intercept": mpmath.sqrt(s2 * gram_inv[0, 0]), "t_slope": t, "p_slope": p,
+        }
+
+
 class TestLoglogRegression:
     def test_noiseless_recovery(self):
-        fit = loglog_regression(law_points(range(11, 161, 7)))
+        # an exact float power law is a degenerate fit (see
+        # test_exact_power_laws_have_zero_residual_variance); a 1e-12 wobble
+        # stays far below every tolerance here
+        fit = loglog_regression(law_points(range(11, 161, 7), wobble=1e-12))
         assert fit.slope == pytest.approx(-0.95, abs=1e-10)
         assert fit.intercept == pytest.approx(math.log(19.47), abs=1e-10)
         assert fit.se_slope == pytest.approx(0.0, abs=1e-8)
@@ -80,6 +123,48 @@ class TestLoglogRegression:
         with pytest.raises(DomainError, match="zero residual variance"):
             loglog_regression([(2.0, 1.0), (4.0, 1.0), (8.0, 1.0)])
 
+    def test_exact_power_laws_have_zero_residual_variance(self):
+        for a, b, ns in EXACT_LAW_GRID:
+            law = AlphaScalingLaw(coeff_a=a, exponent_b=b)
+            with pytest.raises(DomainError, match="zero residual variance"):
+                loglog_regression(law_points(ns, law=law))
+
+    def test_line_with_1e9_jitter_still_fits(self):
+        for a, b, ns in EXACT_LAW_GRID:
+            law = AlphaScalingLaw(coeff_a=a, exponent_b=b)
+            fit = loglog_regression(law_points(ns, law=law, wobble=1e-9))
+            assert fit.slope == pytest.approx(b, abs=1e-8), (a, b, ns)
+            assert 0 < fit.se_slope < 1e-8, (a, b, ns)
+
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_against_mpmath_dummy_design(self, groups):
+        rng = np.random.default_rng(40 + groups)
+        laws = [AlphaScalingLaw(), AlphaScalingLaw(25.0, -1.05), AlphaScalingLaw(12.0, -0.8)]
+        # listed out of sort order, so the baseline is not the first group given
+        labels = ["b", "a", "c"][:groups]
+        points, origins = [], []
+        for label, law in zip(labels, laws):
+            ns = rng.integers(11, 161, size=12)
+            points += law_points(ns, law=law, rng=rng, sigma=0.1)
+            origins += [label] * len(ns)
+        # with origins, and pooled without them
+        for given, design in ((origins, origins), (None, [""] * len(points))):
+            fit = loglog_regression(points, origins=given)
+            for name, want in ols_reference(points, design).items():
+                got = getattr(fit, name)
+                assert abs(got - want) <= 1e-12 * abs(want), (given, name, got, want)
+            assert fit.n_points == len(points)
+
+    def test_group_with_one_distinct_n_is_collinear(self):
+        points = law_points([10, 20, 40, 80], wobble=0.01) + [(30.0, 0.7), (30.0, 0.9)]
+        with pytest.raises(DomainError, match="collinear"):
+            loglog_regression(points, origins=["a"] * 4 + ["b"] * 2)
+
+    def test_no_degrees_of_freedom_left(self):
+        points = law_points([10, 20, 30, 40], wobble=0.01)
+        with pytest.raises(DomainError, match="not enough points for the requested covariates"):
+            loglog_regression(points, origins=["a", "a", "b", "b"])
+
     def test_misaligned_origins(self):
         with pytest.raises(DomainError):
             loglog_regression(law_points([10, 20, 30]), origins=["a", "b"])
@@ -104,19 +189,19 @@ class TestStudentT:
 
     def test_small_p_from_an_exact_line(self):
         mpmath = pytest.importorskip("mpmath")
-        # three rows on alpha = 20 / n: t is about -8.6e14 with one degree of
-        # freedom, so p = (2 / pi) atan(1 / |t|) is about 7.4e-16
-        fit = loglog_regression([(10.0, 2.0), (20.0, 1.0), (40.0, 0.5)])
-        assert fit.t_slope == pytest.approx(-8.6e14, rel=0.01)
+        # t = -8.6e14 with one degree of freedom, the rounding noise a fit of
+        # alpha = 20 / n once gave, so p = (2 / pi) atan(1 / |t|) is about 7.4e-16
+        t = -8.6e14
         with mpmath.workdps(30):
-            ref = 2 / mpmath.pi * mpmath.atan(1 / abs(mpmath.mpf(fit.t_slope)))
-        assert fit.p_slope == pytest.approx(7.4e-16, rel=0.01)
-        assert abs(fit.p_slope - ref) <= 1e-13 * ref
+            ref = 2 / mpmath.pi * mpmath.atan(1 / abs(mpmath.mpf(t)))
+        p = _t_two_sided_p(t, 1)
+        assert p == pytest.approx(7.4e-16, rel=0.01)
+        assert abs(p - ref) <= 1e-13 * ref
 
 
 class TestImpliedScalingLaw:
     def test_round_trip_through_regression(self):
-        fit = loglog_regression(law_points(range(11, 161, 7)))
+        fit = loglog_regression(law_points(range(11, 161, 7), wobble=1e-12))
         law = implied_scaling_law(fit)
         assert law.coeff_a == pytest.approx(19.47, rel=1e-9)
         assert law.exponent_b == pytest.approx(-0.95, abs=1e-10)
@@ -126,7 +211,7 @@ class TestImpliedScalingLaw:
         )
 
     def test_delta_method_se(self):
-        fit = loglog_regression(law_points(range(11, 161, 7)))
+        fit = loglog_regression(law_points(range(11, 161, 7), wobble=1e-12))
         law = implied_scaling_law(fit)
         assert law.se_a == pytest.approx(law.coeff_a * fit.se_intercept, rel=1e-12)
         assert law.se_b == fit.se_slope

@@ -283,6 +283,20 @@ class TestFeaturesAndMaxent:
         assert cli.main(["maxent", str(feat_file), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_linalg_error_in_maxent_exits_4(self, capsys, tmp_path, monkeypatch):
+        features = tmp_path / "features.tsv"
+        code, _, _ = run(capsys, "features", data_path("toy_a.lex"),
+                         data_path("toy_incidence.tsv"), "-o", str(features))
+        assert code == 0
+
+        def singular(problem, tolerance):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(maxent, "solve", singular)
+        assert run(capsys, "maxent", str(features)) == (
+            4, "", "error: numerical failure (LinAlgError: Singular matrix)\n"
+        )
+
     def test_coverage_floor_violation_exits_3(self, capsys, tmp_path):
         incidence = tmp_path / "sparse.tsv"
         incidence.write_text(
@@ -295,6 +309,14 @@ class TestFeaturesAndMaxent:
 
 
 class TestRegress:
+    def test_exact_line_exits_3(self, capsys, tmp_path):
+        # alpha = 20 / n exactly; a fit only sees rounding noise around it
+        fits = tmp_path / "fits.tsv"
+        fits.write_text("10\t2\n20\t1\n40\t0.5\n", encoding="utf-8")
+        assert run(capsys, "regress", str(fits)) == (
+            3, "", "error: degenerate regression: zero residual variance\n"
+        )
+
     def test_recovers_planted_law(self, capsys, tmp_path):
         fits = tmp_path / "fits.tsv"
         rows = [f"{n}\t{19.47 * n ** -0.95:.12g}" for n in range(11, 161, 10)]
@@ -422,44 +444,52 @@ import json, sys
 from pathlib import Path
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+            for top in ("numpy", "scipy")}
 
 
+import phonodist
+
+snapshots = {"package": loaded()}
 from phonodist import cli
 
-at_import = scipy_modules()
-data, tmp, last = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
-out = ["-o", str(tmp / "out")]
+snapshots["cli"] = loaded()
+data, tmp = Path(sys.argv[1]), Path(sys.argv[2])
 tables = [str(data / f"{name}.tsv") for name in ("amenglish", "bengali", "kaiwa", "samoan", "swedish")]
 fits = tmp / "fits.tsv"
 fits.write_text("11\\t2.0\\n40\\t0.59\\n160\\t0.16\\n", encoding="utf-8")
-features = ["features", str(data / "toy_a.lex"), str(data / "toy_incidence.tsv")]
-codes = [
-    cli.main(["predict-alpha", "--n", "40", *out]),
-    cli.main(["estimate-entropy", tables[3], *out]),
-    cli.main([*features, "-o", str(tmp / "features.tsv")]),
-    cli.main(["regress", str(fits), *out]),
-    cli.main(["fit-alpha", tables[3], *out]),
-    cli.main(["report", *tables, *out]),
-]
-after_six = scipy_modules()
-if last == "maxent":
-    codes.append(cli.main(["maxent", str(tmp / "features.tsv"), *out]))
-else:
-    codes.append(cli.main(["reconstruct", "--n", "11", *out]))
-after_last = scipy_modules()
-print(json.dumps({"codes": codes, "at_import": at_import, "after_six": after_six,
-                  "after_last": after_last}))
+calls = {
+    "predict-alpha": ["predict-alpha", "--n", "40"],
+    "estimate-entropy": ["estimate-entropy", tables[3]],
+    "regress": ["regress", str(fits)],
+    "fit-alpha": ["fit-alpha", tables[3]],
+    "report": ["report", *tables],
+    "features": ["features", str(data / "toy_a.lex"), str(data / "toy_incidence.tsv")],
+    "maxent": ["maxent", str(tmp / "features.tsv")],
+    "reconstruct": ["reconstruct", "--n", "11"],
+}
+codes = []
+for step in sys.argv[3:]:
+    codes.append(cli.main([*calls[step], "-o", str(tmp / "out")]))
+    snapshots[step] = loaded()
+print(json.dumps({"codes": codes, "snapshots": snapshots}))
 """
 
+# the subcommands that need scalar arithmetic only
+_SCALAR = ("predict-alpha", "estimate-entropy", "regress", "fit-alpha", "report")
 
-def _probe_imports(tmp_path, last):
-    """Run the six light subcommands, then ``last``, in one fresh interpreter,
-    so that nothing pytest has already imported counts."""
+
+def _probe_imports(tmp_path, *steps):
+    """Import phonodist, then phonodist.cli, then run ``steps`` in one fresh
+    interpreter, so that nothing pytest has already imported counts; return
+    the numpy and scipy modules loaded after each."""
+    features = tmp_path / "features.tsv"  # maxent's input, written here
+    assert cli.main(["features", data_path("toy_a.lex"), data_path("toy_incidence.tsv"),
+                     "-o", str(features)]) == 0
     src = Path(phonodist.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(DATA), str(tmp_path), last],
+        [sys.executable, "-c", _IMPORT_PROBE, str(DATA), str(tmp_path), *steps],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -467,24 +497,72 @@ def _probe_imports(tmp_path, last):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 7
-    return result
+    assert result["codes"] == [0] * len(steps)
+    return result["snapshots"]
+
+
+def test_scalar_subcommands_never_import_numpy(tmp_path):
+    loaded = _probe_imports(tmp_path, *_SCALAR)
+    for step in ("package", "cli", *_SCALAR):
+        assert loaded[step] == {"numpy": [], "scipy": []}, step
+
+
+@pytest.mark.parametrize("step", ["features", "maxent", "reconstruct"])
+def test_array_subcommands_import_numpy(tmp_path, step):
+    loaded = _probe_imports(tmp_path, *_SCALAR, step)
+    assert loaded[_SCALAR[-1]]["numpy"] == []
+    assert "numpy" in loaded[step]["numpy"]
 
 
 def test_six_subcommands_and_maxent_never_import_scipy(tmp_path):
-    result = _probe_imports(tmp_path, "maxent")
-    assert result["at_import"] == []
-    assert result["after_six"] == []
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent")
     # maxent certifies feasibility with numpy alone
-    assert result["after_last"] == []
+    for step in ("package", "cli", *_SCALAR, "features", "maxent"):
+        assert loaded[step]["scipy"] == [], step
 
 
 def test_six_subcommands_never_import_scipy(tmp_path):
-    result = _probe_imports(tmp_path, "reconstruct")
-    assert result["at_import"] == []
-    assert result["after_six"] == []
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "reconstruct")
+    for step in ("package", "cli", *_SCALAR, "features"):
+        assert loaded[step]["scipy"] == [], step
     # reconstruct's moments and bands do load scipy.special
-    assert "scipy.special" in result["after_last"]
+    assert "scipy.special" in loaded["reconstruct"]["scipy"]
+
+
+# every name phonodist exported when its __init__ still imported them all
+_EXPORTS = (
+    "AlphaScalingLaw", "CompensationReport", "ConstraintVector", "CorrelationResult",
+    "CountVector", "CoverageError", "DirichletSpec", "DomainError", "EntropyEstimate",
+    "FeatureTable", "IncidenceTable", "InfeasibleError", "IngestError", "MaxEntProblem",
+    "MaxEntSolution", "NumericalError", "OrderStatSummary", "PhonemizedLexicon",
+    "PhonodistError", "RegressionFit", "build_feature_table", "compensation_report",
+    "constraint_expectations", "cwj_entropy", "digamma", "expected_entropy",
+    "guessed_distribution", "implied_scaling_law", "lexical_conditional_diversity",
+    "lexical_information_gain_exact", "loglog_regression", "marginal_cdf", "marginal_pdf",
+    "order_statistic_bands", "order_statistic_moments", "order_statistic_pdf",
+    "order_statistic_quantile", "pearson_test", "phoneme_probabilities", "physical_cost",
+    "plugin_entropy", "predict_alpha", "reconstruct_from_inventory", "relative_entropy",
+    "segmental_information", "solve", "solve_alpha",
+)
+
+
+def test_every_export_resolves_lazily():
+    assert len(_EXPORTS) == 47
+    assert sorted(phonodist.__all__) == sorted(_EXPORTS)
+    for name in _EXPORTS:
+        # drop the cached binding, so that both forms go through the
+        # module-level __getattr__
+        vars(phonodist).pop(name, None)
+        value = getattr(phonodist, name)
+        assert value.__name__ == name
+        vars(phonodist).pop(name)
+        namespace = {}
+        exec(f"from phonodist import {name}", namespace)
+        assert namespace[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        phonodist.no_such_name
+    with pytest.raises(ImportError):
+        exec("from phonodist import no_such_name", {})
 
 
 # Exit-code contract: every file-reading subcommand, fed arbitrary TSV text,
