@@ -83,8 +83,12 @@ def cwj_estimate(counts: Iterable[int]) -> float:
     Accepts a single category (returns 0); the package-level contract for
     language distributions is enforced by CountVector instead.
     """
-    # f_x, the number of categories seen exactly x times
-    freq = {int(x): m for x, m in Counter(counts).items() if x > 0}
+    # f_x, the number of categories seen exactly x times; counts are cast
+    # to int once per distinct value
+    freq: Counter[int] = Counter()
+    for x, m in Counter(counts).items():
+        if int(x) > 0:
+            freq[int(x)] += m
     total = sum(x * m for x, m in freq.items())
     if sum(freq.values()) <= 1 or total <= 1:
         return 0.0
