@@ -189,8 +189,9 @@ class TestStudentT:
 
     def test_small_p_from_an_exact_line(self):
         mpmath = pytest.importorskip("mpmath")
-        # t = -8.6e14 with one degree of freedom, the rounding noise a fit of
-        # alpha = 20 / n once gave, so p = (2 / pi) atan(1 / |t|) is about 7.4e-16
+        # t = -8.6e14 with one degree of freedom, the t that rounding noise
+        # gives a least-squares fit of alpha = 20 / n at three rows, so
+        # p = (2 / pi) atan(1 / |t|) is about 7.4e-16
         t = -8.6e14
         with mpmath.workdps(30):
             ref = 2 / mpmath.pi * mpmath.atan(1 / abs(mpmath.mpf(t)))
