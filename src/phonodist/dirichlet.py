@@ -13,9 +13,9 @@ neither.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -40,10 +40,6 @@ __all__ = [
     "reconstruct_from_inventory",
     "solve_alpha",
 ]
-
-_QUAD_TOL = 1e-12
-_QUAD_LIMIT = 500
-
 
 def _check_inventory(n) -> int:
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
@@ -273,76 +269,133 @@ def order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
     return math.exp(_log_order_statistic_pdf(spec, r, x))
 
 
-def _gamma_orderstat_raw_moment(n: int, alpha: float, j: int, power: int) -> float:
-    """E[G_(j)**power] for the j-th smallest of n iid Gamma(alpha, 1) draws.
+# The moment engine works in s = ln t.  Each rank's window holds its first-
+# and second-moment integrands down to exp(-_DROP) of their peaks; _NODES
+# Gauss-Legendre nodes span it, for _BLOCK ranks at a time (128 KB arrays).
+# As (n - 1) alpha falls to 0 the top rank's variance becomes a difference
+# of numbers near 1: at 5e-4 its sd is off mpmath by up to 2e-10, at
+# _MIN_SPREAD by 3e-12.  Above _MAX_ALPHA the log density is too steep to
+# sample in double precision.
+_DROP, _NODES, _BLOCK = 50.0, 128, 128
+_MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
 
-    Integrated by adaptive quadrature in log space; when alpha < 1 the
-    t**(alpha-1) endpoint singularity is absorbed with the change of
-    variables u = t**alpha before the density is evaluated.
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre():
+    """Gauss-Legendre nodes on [0, 1] and their weights."""
+    from scipy import special
+
+    x, w = special.roots_legendre(_NODES)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _log_cdfs(alpha: float, t):
+    """(ln P, ln Q) of Gamma(alpha, 1) at t, each accurate in both tails."""
+    import numpy as np
+    from scipy import special
+
+    P, Q = special.gammainc(alpha, t), special.gammaincc(alpha, t)
+    small, upper = np.minimum(P, Q), P > Q
+    log_small, log_large = np.log(small), np.log1p(-small)
+    return np.where(upper, log_large, log_small), np.where(upper, log_small, log_large)
+
+
+def _log_integrand(n: int, alpha: float, j, p, s):
+    """phi, phi' and phi'' in s of phi = ln(t**p * density of ln G_(j)) + const.
+
+    G_(j) is the j-th smallest of n iid Gamma(alpha, 1) draws and t = e**s;
+    phi is concave in s.
     """
-    from scipy import integrate, special  # imported here so only this path pays for it
-    log_comb = special.gammaln(n + 1) - special.gammaln(j) - special.gammaln(n - j + 1)
-    log_gamma_norm = special.gammaln(alpha)
+    import numpy as np
+    from scipy import special
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        cdf = special.gammainc(alpha, t)
-        log_density = (
-            log_comb
-            + (alpha - 1) * math.log(t)
-            - t
-            - log_gamma_norm
-            + special.xlogy(j - 1, cdf)
-            + special.xlog1py(n - j, -cdf)
-        )
-        return t ** power * math.exp(log_density)
+    t = np.exp(s)
+    log_p, log_q = _log_cdfs(alpha, t)
+    log_tf = alpha * s - t - special.gammaln(alpha)  # ln(t * gamma density)
+    h_p, h_q = np.exp(log_tf - log_p), np.exp(log_tf - log_q)  # d ln P/ds, -d ln Q/ds
+    x = s - np.log(alpha + p)
+    phi = (alpha + p) * (x - np.expm1(x)) + (j - 1) * log_p + (n - j) * log_q
+    d1 = alpha + p - t + (j - 1) * h_p - (n - j) * h_q
+    d2 = -t + (j - 1) * h_p * (alpha - t - h_p) - (n - j) * h_q * (alpha - t + h_q)
+    return phi, d1, d2
 
-    # the order statistic concentrates between these CDF levels; mass
-    # outside is < 1e-14 and contributes negligibly to low-order moments
-    u_lo = float(special.betaincinv(j, n - j + 1, 1e-14))
-    u_hi = float(special.betaincinv(j, n - j + 1, 1.0 - 1e-14))
-    t_lo = float(special.gammaincinv(alpha, max(u_lo, 1e-300)))
-    t_hi = float(special.gammaincinv(alpha, min(u_hi, 1.0 - 1e-16)))
-    split = float(special.gammaincinv(alpha, max(j - 0.5, 0.25) / n))
-    split = min(max(split, t_lo), t_hi)
 
-    total, err = 0.0, 0.0
-    with warnings.catch_warnings():
-        # the error estimate is validated below; quad's own warning about
-        # slow convergence on near-zero pieces is noise
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if alpha < 1:
-            inv = 1.0 / alpha
+def _moment_windows(n: int, alpha: float, j):
+    """Windows [low, high] in s: from where the first-moment integrand has
+    fallen by _DROP left of its peak to where the second-moment one has
+    fallen by _DROP right of its own, inside the range where P, Q > 1e-300.
 
-            def lower(u: float) -> float:
-                t = u ** inv
-                return integrand(t) * inv * u ** (inv - 1.0)
+    The peaks come from Newton steps on phi' kept inside a shrinking
+    bracket; the edges from Newton steps on phi - peak + _DROP, which,
+    phi being concave, stay outside the edge once they have crossed it.
+    """
+    import numpy as np
+    from scipy import special
 
-            v, e = integrate.quad(
-                lower, t_lo ** alpha, split ** alpha,
-                epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT,
-            )
-        else:
-            v, e = integrate.quad(
-                integrand, t_lo, split,
-                epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT,
-            )
-        total, err = total + v, err + e
-        v, e = integrate.quad(
-            integrand, split, t_hi,
-            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT,
-        )
-        total, err = total + v, err + e
-    if err > 1e-8 * max(1.0, n * alpha):
-        raise NumericalError(
-            f"quadrature error estimate {err:.3g} too large for order statistic {j}/{n}"
-        )
-    return total
+    t_lo = float(special.gammaincinv(alpha, 1e-300))
+    s_lo = math.log(t_lo) if t_lo > 1e-300 else -690.0
+    s_hi = math.log(float(special.gammainccinv(alpha, 1e-300)))
+    p, side = np.array([[1.0], [2.0]]), np.array([[-1.0], [1.0]])
+    lo, hi = np.full((2, n), s_lo), np.full((2, n), s_hi)
+    start = np.log(np.maximum(special.gammaincinv(alpha, j / (n + 1.0)), 1e-300))
+    s = np.clip(start, s_lo, s_hi) * np.ones((2, 1))
+    for _ in range(200):
+        _, d1, d2 = _log_integrand(n, alpha, j, p, s)
+        lo, hi = np.where(d1 > 0, s, lo), np.where(d1 > 0, hi, s)
+        # within 1e-3 sd of the peak, or pinned to an end of the range
+        done = (d1 * d1 <= -1e-6 * d2) | (hi - lo <= 1e-9 * (1.0 + np.abs(s)))
+        if done.all():
+            break
+        step = s - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0)
+        s = np.where(done, s, np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2.0))
+    else:
+        raise NumericalError(f"moment windows did not converge at n={n}, alpha={alpha:.3g}")
+    peak, _, d2 = _log_integrand(n, alpha, j, p, s)
+    edge = np.clip(s + side * np.sqrt(2.0 * _DROP / np.maximum(-d2, 1e-300)), s_lo, s_hi)
+    for _ in range(8):
+        phi, d1, _ = _log_integrand(n, alpha, j, p, edge)
+        # an edge whose slope points away from its peak is pinned at a range end
+        step = np.divide(phi - peak + _DROP, d1, out=np.zeros_like(d1), where=d1 * side < 0)
+        edge = np.clip(edge - step, s_lo, s_hi)
+    return edge[0], edge[1]
+
+
+def _gamma_moments(n: int, alpha: float, j, low, high):
+    """Per row: the mean m of G_(j) within its window [low, high], the
+    probability p of the window, and Var G_(j) / (p m**2) + p.
+
+    The nodes give m and the variance about it within the window (the
+    density is needed only up to a constant, and each row is scaled by its
+    largest term); the Beta(j, n-j+1) law of P(G_(j)) gives the
+    probabilities of falling below, inside and above the window.
+    """
+    import numpy as np
+    from scipy import special
+
+    u, w = _gauss_legendre()
+    s = low[:, None] + (high - low)[:, None] * u
+    log_p, log_q = _log_cdfs(alpha, np.exp(s))
+    x = s - math.log(alpha)
+    log_density = alpha * (x - np.expm1(x)) + (j - 1)[:, None] * log_p + (n - j)[:, None] * log_q
+
+    def log_sum(log_terms, factor=1.0):
+        top = log_terms.max(axis=1)
+        return top + np.log((w * factor * np.exp(log_terms - top[:, None])).sum(axis=1))
+
+    log_mass = log_sum(log_density)
+    log_mean = log_sum(log_density + s) - log_mass
+    # (t / mean - 1)**2 as exp(2 max(gap, 0)) * expm1(-|gap|)**2, free of cancellation
+    gap = s - log_mean[:, None]
+    spread = np.exp(log_sum(log_density + 2.0 * np.maximum(gap, 0.0), np.expm1(-np.abs(gap)) ** 2)
+                    - log_mass)
+    below = special.betainc(j, n - j + 1, special.gammainc(alpha, np.exp(low)))
+    above = special.betainc(n - j + 1, j, special.gammaincc(alpha, np.exp(high)))
+    inside = special.betainc(n - j + 1, j, special.gammaincc(alpha, np.exp(low))) - above
+    return np.exp(log_mean), inside, spread + below + above
 
 
 def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
-    """Mean and standard deviation of every rank, by adaptive quadrature.
+    """Mean and standard deviation of every rank, by a fixed-rule quadrature.
 
     Rank r corresponds to the (n-r+1)-th smallest component.  Components
     are dependent (they share the simplex constraint), so the moments are
@@ -353,26 +406,40 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
         E[X_(j)]    = E[G_(j)] / (n alpha)
         E[X_(j)**2] = E[G_(j)**2] / (n alpha (n alpha + 1))
 
-    with the gamma order-statistic expectations as 1-D integrals.  At
-    alpha = 1 this reproduces the harmonic-number closed form exactly.
+    Each G_(j) is summed over nodes in its own window of s = ln t (see
+    _moment_windows), one row of a node matrix of _BLOCK ranks, so that
+    gammainc and gammaincc run once per matrix.  Variances are taken over
+    the squared window mean, so that sds far below 1e-154 stay finite;
+    a mean below about 1e-300 underflows to 0, and so may its sd.  A
+    concentration outside [_MIN_SPREAD / (n - 1), _MAX_ALPHA] raises
+    NumericalError: there the result would miss its error bound.
     """
     import numpy as np
 
     n, alpha = spec.n, spec.alpha
-    means = np.empty(n)
-    sds = np.empty(n)
+    floor = _MIN_SPREAD / (n - 1)
+    if not floor <= alpha <= _MAX_ALPHA:
+        side, bound = ("below", floor) if alpha < floor else ("above", _MAX_ALPHA)
+        raise NumericalError(
+            f"concentration {alpha:.3g} is {side} {bound:.3g}, where the order-statistic "
+            f"moments of n = {n} components miss their error bound")
+    j = np.arange(1.0, n + 1.0)
+    low, high = _moment_windows(n, alpha, j)
+    blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]
+    window_mean, inside, rest = (np.concatenate(part) for part in zip(
+        *(_gamma_moments(n, alpha, j[b], low[b], high[b]) for b in blocks)))
     scale = n * alpha
-    for rank in range(1, n + 1):
-        j = n - rank + 1  # order-statistic index for this rank
-        first = _gamma_orderstat_raw_moment(n, alpha, j, 1)
-        second = _gamma_orderstat_raw_moment(n, alpha, j, 2)
-        mu = first / scale
-        var = second / (scale * (scale + 1.0)) - mu * mu
-        means[rank - 1] = mu
-        sds[rank - 1] = math.sqrt(max(var, 0.0))
-    if not (np.isfinite((means, sds)).all() and abs(math.fsum(means) - 1.0) <= 1e-6):
-        raise NumericalError(f"order-statistic moments failed at alpha={alpha:.3g}: "
-                             f"means sum to {means.sum():.6g}, not 1")
+    means = (inside * window_mean / scale)[::-1]
+    variance = inside * (rest - inside / scale) / (scale * (scale + 1.0))  # over window_mean**2
+    sds = (window_mean * np.sqrt(np.maximum(variance, 0.0)))[::-1]
+    # both identities are exact: sum of means 1, sum of E[X**2] (alpha+1)/(n alpha+1)
+    total = math.fsum(means)
+    second = math.fsum(means * means + sds * sds) * (scale + 1.0) / (alpha + 1.0)
+    if not (np.isfinite((means, sds)).all() and abs(total - 1.0) <= 1e-12
+            and abs(second - 1.0) <= 1e-10):
+        raise NumericalError(
+            f"order-statistic moments failed at alpha={alpha:.3g}: means sum to {total!r} "
+            f"and second moments to {second!r} of (alpha+1)/(n alpha+1), not 1")
     return OrderStatSummary(n=n, alpha=spec.alpha, mean=means, sd=sds)
 
 

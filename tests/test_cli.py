@@ -15,6 +15,8 @@ import phonodist
 from phonodist import cli, corpus, dirichlet, entropy, io, maxent
 from phonodist.errors import NumericalError
 
+from mp_oracle import mp_rank_moments
+
 DATA = files("phonodist") / "data"
 
 
@@ -182,25 +184,39 @@ class TestReconstruct:
             cli.main(["reconstruct", "--n", "10", "--gamma", "1.5"])
         assert excinfo.value.code == 2
 
-    def test_overflow_exits_4_with_one_line(self, capsys):
-        # the moment quadrature overflows for this small alpha; the library
-        # raises OverflowError and the CLI reports it as a numerical failure
+    def test_small_concentration_curve_matches_mpmath(self, capsys):
+        # alpha = 0.01 * 200**-0.95 = 6.5e-5 once overflowed the moment
+        # integrand; the curve is now checked against mpmath, never NaN
         code, out, err = run(capsys, "reconstruct", "--n", "200", "--coeff-a", "0.01")
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "OverflowError" in err
-        assert "Traceback" not in err
+        assert (code, err) == (0, "")
+        rows = [[float(cell) for cell in line.split("\t")] for line in out.strip().split("\n")[3:]]
+        assert len(rows) == 200 and all(math.isfinite(x) for row in rows for x in row)
+        assert math.fsum(row[1] for row in rows) == pytest.approx(1.0, abs=1e-10)
+        alpha = dirichlet.predict_alpha(200, dirichlet.AlphaScalingLaw(coeff_a=0.01))
+        for rank in (1, 2, 3, 100):
+            mean, sd = mp_rank_moments(200, alpha, rank)
+            assert rows[rank - 1][1] == pytest.approx(mean, rel=1e-10), rank
+            assert rows[rank - 1][2] == pytest.approx(sd, rel=1e-10), rank
+
+    def test_below_the_concentration_floor_exits_4_naming_it(self, capsys):
+        code, out, err = run(
+            capsys, "reconstruct", "--n", "2", "--coeff-a", "1e-3", "--exponent-b", "0"
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: concentration 0.001 is below 0.005, where the order-statistic moments "
+            "of n = 2 components miss their error bound\n"
+        )
 
     @pytest.mark.parametrize("coeff_a", ["1e-300", "5e-324"])
     def test_lost_curve_exits_4_not_0(self, capsys, coeff_a):
-        # the moments come back all zero (1e-300) or NaN (5e-324); printing
-        # them as a curve with exit 0 would be wrong
+        # once all-zero (1e-300) or NaN (5e-324) moments; both concentrations
+        # are far below the floor, so no curve is printed
         code, out, err = run(
             capsys, "reconstruct", "--n", "20", "--coeff-a", coeff_a, "--exponent-b", "0"
         )
         assert (code, out) == (4, "")
-        assert err.startswith("error: order-statistic moments failed")
+        assert err.startswith("error: concentration ") and " is below 0.000263, " in err
         assert err.count("\n") == 1
 
 
@@ -525,8 +541,11 @@ def test_six_subcommands_never_import_scipy(tmp_path):
     loaded = _probe_imports(tmp_path, *_SCALAR, "features", "reconstruct")
     for step in ("package", "cli", *_SCALAR, "features"):
         assert loaded[step]["scipy"] == [], step
-    # reconstruct's moments and bands do load scipy.special
+    # reconstruct's moments and bands do load scipy.special, but neither
+    # scipy.integrate nor scipy.optimize
     assert "scipy.special" in loaded["reconstruct"]["scipy"]
+    assert not [m for m in loaded["reconstruct"]["scipy"]
+                if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
 
 # every name phonodist exported when its __init__ still imported them all

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from phonodist import dirichlet
 from phonodist.dirichlet import (
     AlphaScalingLaw,
     DirichletSpec,
@@ -23,6 +25,8 @@ from phonodist.dirichlet import (
     solve_alpha,
 )
 from phonodist.errors import DomainError, InfeasibleError, NumericalError
+
+from mp_oracle import mp_rank_moments
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -305,10 +309,50 @@ class TestOrderStatisticMoments:
 
     @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
     def test_lost_curve_raises_instead_of_returning(self, alpha):
-        # the quadrature returns all-zero means at 1e-300 and NaN at the
-        # smallest subnormal; neither is a rank-frequency curve
-        with pytest.raises(NumericalError, match="means sum to"):
+        # far below the concentration floor (n - 1) alpha = 5e-3, the top
+        # rank's sd would be a difference of two numbers near 1; the
+        # engine names the floor instead of returning a curve
+        with pytest.raises(NumericalError, match=r"below 0\.000263, where the order-statistic"):
             order_statistic_moments(DirichletSpec(20, alpha))
+
+    def test_above_the_ceiling_raises(self):
+        with pytest.raises(NumericalError, match=r"concentration 2e\+10 is above 1e\+10"):
+            order_statistic_moments(DirichletSpec(20, 2e10))
+
+    @pytest.mark.parametrize("n", [2, 11, 160, 1000, 1800])
+    @pytest.mark.parametrize("law", ["default", "alpha=1"])
+    def test_against_mpmath(self, n, law):
+        # every rank at small n, the two ends and the middle at large n
+        alpha = predict_alpha(n) if law == "default" else 1.0
+        ranks = range(1, n + 1) if n <= 11 else sorted({1, 2, math.ceil(n / 2), n - 1, n})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = order_statistic_moments(DirichletSpec(n, alpha))
+        for rank in ranks:
+            mean, sd = mp_rank_moments(n, alpha, rank)
+            assert summary.mean[rank - 1] == pytest.approx(mean, rel=1e-10, abs=0), rank
+            assert summary.sd[rank - 1] == pytest.approx(sd, rel=1e-10, abs=0), rank
+
+    @pytest.mark.parametrize("n", [2, 20, 2000])
+    def test_at_the_concentration_floor_against_mpmath(self, n):
+        # the top rank's sd is the worst conditioned value there
+        alpha = 5e-3 / (n - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = order_statistic_moments(DirichletSpec(n, alpha))
+        for rank in (1, 2):
+            mean, sd = mp_rank_moments(n, alpha, rank)
+            assert summary.mean[rank - 1] == pytest.approx(mean, rel=1e-10, abs=0), rank
+            assert summary.sd[rank - 1] == pytest.approx(sd, rel=1e-10, abs=0), rank
+        with pytest.raises(NumericalError, match="is below"):
+            order_statistic_moments(DirichletSpec(n, alpha * 0.99))
+
+    def test_self_check_catches_truncated_windows(self, monkeypatch):
+        # windows cut where the integrands have fallen by only e**-3 lose
+        # mass; the sum and second-moment identities must refuse the curve
+        monkeypatch.setattr(dirichlet, "_DROP", 3.0)
+        with pytest.raises(NumericalError, match="means sum to"):
+            order_statistic_moments(DirichletSpec(30, predict_alpha(30)))
 
 
 class TestOrderStatisticQuantile:
