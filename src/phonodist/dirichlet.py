@@ -274,8 +274,8 @@ def order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
 # Gauss-Legendre nodes span it, for _BLOCK ranks at a time (128 KB arrays).
 # As (n - 1) alpha falls to 0 the top rank's variance becomes a difference
 # of numbers near 1: at 5e-4 its sd is off mpmath by up to 2e-10, at
-# _MIN_SPREAD by 3e-12.  Above _MAX_ALPHA the log density is too steep to
-# sample in double precision.
+# _MIN_SPREAD by 3e-12.  The log density at a node carries a rounding error
+# of about 1e-16 sqrt(alpha), 1e-11 at _MAX_ALPHA.
 _DROP, _NODES, _BLOCK = 50.0, 128, 128
 _MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
 

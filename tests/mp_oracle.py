@@ -16,7 +16,7 @@ from scipy import special
 
 
 def _breakpoints(n, alpha, j):
-    """Float breakpoints around the peaks of t * and t**2 * the density of ln G_(j)."""
+    """Float breakpoints around the peaks of t and t**2 times the density of ln G_(j)."""
     grid = np.linspace(-745.0, math.log(special.gammainccinv(alpha, 1e-300)), 40001)
     points = set()
     with np.errstate(all="ignore"):
