@@ -27,11 +27,9 @@ _EXPORTS = {
         "PhonemizedLexicon",
         "build_feature_table",
         "constraint_expectations",
-        "lexical_conditional_diversity",
         "lexical_information_gain_exact",
         "phoneme_probabilities",
         "physical_cost",
-        "segmental_information",
     ),
     "dirichlet": (
         "AlphaScalingLaw",
@@ -39,11 +37,8 @@ _EXPORTS = {
         "OrderStatSummary",
         "digamma",
         "expected_entropy",
-        "marginal_cdf",
-        "marginal_pdf",
         "order_statistic_bands",
         "order_statistic_moments",
-        "order_statistic_pdf",
         "order_statistic_quantile",
         "predict_alpha",
         "reconstruct_from_inventory",
@@ -51,9 +46,8 @@ _EXPORTS = {
     ),
     "entropy": (
         "CountVector",
-        "EntropyEstimate",
-        "cwj_entropy",
-        "plugin_entropy",
+        "cwj_estimate",
+        "plugin_estimate",
         "relative_entropy",
     ),
     "errors": (

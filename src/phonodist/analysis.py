@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
-from .entropy import CountVector, cwj_entropy, relative_entropy
+from .entropy import CountVector, cwj_estimate, relative_entropy
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -227,12 +227,12 @@ def band_coverage(counts: CountVector) -> float:
     """
     import numpy as np
 
-    estimate = cwj_entropy(counts)
-    n = estimate.support_size
-    alpha_hat = solve_alpha(estimate.value, n)
+    positive = counts.positive_counts()
+    n = len(positive)
+    alpha_hat = solve_alpha(cwj_estimate(positive), n)
     low, high = order_statistic_bands(DirichletSpec(n, alpha_hat), 0.95)
-    positive = np.sort(counts.positive_counts())[::-1]
-    observed = positive / positive.sum()
+    ranked = np.sort(positive)[::-1]
+    observed = ranked / ranked.sum()
     inside = (low <= observed) & (observed <= high)
     return int(inside.sum()) / len(observed)
 
@@ -268,16 +268,17 @@ def compensation_report(
     """
     rows = []
     for name, counts, declared_n in languages:
-        estimate = cwj_entropy(counts)
-        n = declared_n if declared_n is not None else estimate.support_size
+        positive = counts.positive_counts()
+        h_cwj = cwj_estimate(positive)
+        n = declared_n if declared_n is not None else len(positive)
         h_max = math.log(n)
-        rel = relative_entropy(estimate, n)
+        rel = relative_entropy(h_cwj, n)
         note = None
-        if 0.0 < estimate.value < h_max:
-            alpha_hat = solve_alpha(estimate.value, n)
+        if 0.0 < h_cwj < h_max:
+            alpha_hat = solve_alpha(h_cwj, n)
         else:
             alpha_hat = None
-            note = f"alpha infeasible: H={estimate.value:.6g} not inside (0, ln n={h_max:.6g})"
+            note = f"alpha infeasible: H={h_cwj:.6g} not inside (0, ln n={h_max:.6g})"
             log.warning("%s: %s", name, note)
         guessed = None
         if solutions is not None and name in solutions:
@@ -286,7 +287,7 @@ def compensation_report(
             LanguageFit(
                 name=name,
                 n=n,
-                entropy_cwj=estimate.value,
+                entropy_cwj=h_cwj,
                 h_max=h_max,
                 relative_entropy=rel,
                 alpha_hat=alpha_hat,

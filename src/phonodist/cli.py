@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, dirichlet, entropy, io
-from .errors import InfeasibleError, NumericalError, PhonodistError
+from .errors import InfeasibleError, IngestError, NumericalError, PhonodistError
 
 SCHEMA_VERSION = 2
 
@@ -52,8 +52,11 @@ def _round12(obj):
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -114,23 +117,23 @@ def _add_law_args(p: argparse.ArgumentParser) -> None:
 
 
 def _fit_language(name: str, counts: entropy.CountVector, n: int | None) -> dict:
-    h_plugin = entropy.plugin_entropy(counts)
-    h_cwj = entropy.cwj_entropy(counts)
+    positive = counts.positive_counts()
+    h_cwj = entropy.cwj_estimate(positive)
     if n is None:
-        n = h_cwj.support_size
+        n = len(positive)
     h_max = math.log(n)
-    if not 0.0 < h_cwj.value < h_max:
+    if not 0.0 < h_cwj < h_max:
         raise InfeasibleError(
-            f"{name}: CWJ entropy {h_cwj.value:.6g} not inside (0, ln n = {h_max:.6g}); "
+            f"{name}: CWJ entropy {h_cwj:.6g} not inside (0, ln n = {h_max:.6g}); "
             "no finite concentration fits"
         )
-    alpha_hat = dirichlet.solve_alpha(h_cwj.value, n)
+    alpha_hat = dirichlet.solve_alpha(h_cwj, n)
     return {
         "language": name,
         "n": n,
         "tokens": counts.total,
-        "H_plugin": h_plugin.value,
-        "H_cwj": h_cwj.value,
+        "H_plugin": entropy.plugin_estimate(positive),
+        "H_cwj": h_cwj,
         "alpha_hat": alpha_hat,
         "relative_entropy": entropy.relative_entropy(h_cwj, n),
     }
@@ -171,15 +174,15 @@ def cmd_reconstruct(args) -> None:
 
 def cmd_estimate_entropy(args) -> None:
     counts = io.load_frequency_table(args.table)
-    h_plugin = entropy.plugin_entropy(counts)
-    h_cwj = entropy.cwj_entropy(counts)
-    n = args.n if args.n is not None else h_cwj.support_size
+    positive = counts.positive_counts()
+    h_cwj = entropy.cwj_estimate(positive)
+    n = args.n if args.n is not None else len(positive)
     payload = {
         "language": args.language or Path(args.table).stem,
         "n": n,
         "tokens": counts.total,
-        "H_plugin": h_plugin.value,
-        "H_cwj": h_cwj.value,
+        "H_plugin": entropy.plugin_estimate(positive),
+        "H_cwj": h_cwj,
         "H_max": math.log(n),
         "relative_entropy": entropy.relative_entropy(h_cwj, n),
         "config": {"n_override": args.n},

@@ -12,17 +12,16 @@ features.
 One prefix tree and one pass serve every phoneme: ``build_feature_table``
 builds the tree once, reads all segmental information off a single
 traversal of its edges, and gathers every phoneme's word set in a single
-pass over the entries.  ``segmental_information`` and
-``lexical_conditional_diversity`` are views that read one phoneme's value
-off the same code, so each call costs a full pass.
+pass over the entries.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,17 +37,14 @@ __all__ = [
     "PhonemizedLexicon",
     "build_feature_table",
     "constraint_expectations",
-    "lexical_conditional_diversity",
     "lexical_information_gain_exact",
     "phoneme_probabilities",
     "physical_cost",
-    "segmental_information",
 ]
 
 END_MARKER = "#"
 
 Word = tuple[str, ...]
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class PhonemizedLexicon:
             word = tuple(seq)
             if not word:
                 raise DomainError("lexicon contains an empty word")
-            if count <= 0 or not isinstance(count, (int, np.integer)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count <= 0:
                 raise DomainError(f"token count must be a positive integer, got {count!r}")
             if END_MARKER in word:
                 raise DomainError(f"phoneme label {END_MARKER!r} is reserved")
@@ -128,12 +124,6 @@ def _word_sets(lexicon: PhonemizedLexicon) -> dict[str, list[int]]:
     return sets
 
 
-def _occurring(values: Mapping[str, _T], p: str) -> _T:
-    if p not in values:
-        raise DomainError(f"phoneme {p!r} does not occur in the lexicon")
-    return values[p]
-
-
 def phoneme_probabilities(lexicon: PhonemizedLexicon) -> dict[str, float]:
     """Token-weighted phoneme occurrence probabilities, summing to 1."""
     counts: dict[str, float] = defaultdict(float)
@@ -149,22 +139,6 @@ def physical_cost(p: str, table: "IncidenceTable") -> float:
     if p not in table.probs:
         raise DomainError(f"phoneme {p!r} absent from the incidence table (excluded)")
     return -math.log(table.probs[p])
-
-
-def segmental_information(lexicon: PhonemizedLexicon, p: str) -> float:
-    """Average surprisal of p given the word-initial prefixes preceding it.
-
-    Reads one value off the all-phoneme traversal, so it costs a full pass.
-    """
-    return _occurring(_PrefixTree(lexicon).segmental_information(), p)
-
-
-def lexical_conditional_diversity(lexicon: PhonemizedLexicon, p: str) -> float:
-    """CWJ entropy of the token counts of words containing the phoneme.
-
-    Reads one word set off the all-phoneme pass, so it costs a full pass.
-    """
-    return cwj_estimate(_occurring(_word_sets(lexicon), p))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,8 @@ Beta(alpha, (n-1)*alpha).  The rank-frequency curve is the sequence of
 order-statistic means of that marginal (rank 1 = largest order statistic),
 and the concentration itself follows a power law in the inventory size.
 All entropies are in nats.  numpy and scipy.special are imported inside
-the order-statistic functions and the array path of ``digamma``, so that
-importing this module, or fitting and predicting a concentration, loads
-neither.
+the order-statistic functions, so that importing this module, or fitting
+and predicting a concentration, loads neither.
 """
 
 from __future__ import annotations
@@ -30,11 +29,8 @@ __all__ = [
     "OrderStatSummary",
     "digamma",
     "expected_entropy",
-    "marginal_cdf",
-    "marginal_pdf",
     "order_statistic_bands",
     "order_statistic_moments",
-    "order_statistic_pdf",
     "order_statistic_quantile",
     "predict_alpha",
     "reconstruct_from_inventory",
@@ -122,40 +118,24 @@ _PSI_TERMS = ((-1 / 2, 1), (-1 / 12, 2), (1 / 120, 4), (-1 / 252, 6), (1 / 240, 
               (-1 / 132, 10), (691 / 32760, 12))
 
 
-def digamma(x):
-    """Digamma function on the positive reals, for a scalar or an array.
+def digamma(x) -> float:
+    """Digamma function of a real scalar x > 0.
 
     Below 10 the argument is raised by ten steps of psi(x) = psi(x+1) - 1/x.
     ln(x + 10) is split as ln 10 + log1p(x/10), and the ten reciprocals are
     taken off ln 10 before anything else is added, so that no rounding
     happens at the size of ln 10 and psi stays accurate where it crosses
-    zero (x = 1.4616...).  Scalars return a float, arrays an array.
+    zero (x = 1.4616...).
     """
-    if isinstance(x, numbers.Number):
-        if not (math.isfinite(x) and x > 0):
-            raise DomainError(f"digamma requires finite x > 0, got {x!r}")
-        x = float(x)
-        w = 1.0 / (x + 10.0 if x < 10.0 else x)
-        rest = sum([c * w**p for c, p in _PSI_TERMS])
-        if x >= 10.0:
-            return math.log(x) + rest
-        parts = [_LN10_HI, _LN10_LO, math.log1p(x / 10.0), rest]
-        return math.fsum(parts + [-1.0 / (x + i) for i in range(10)])
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if x.size and not (x.min() > 0 and x.max() < math.inf):
-        raise DomainError("digamma requires finite x > 0 everywhere")
-    small = x < 10.0
-    y = x + 10.0 * small
-    coeffs, powers = (np.array(column) for column in zip(*_PSI_TERMS))
-    rest = (1.0 / y)[..., None] ** powers @ coeffs
-    # computed for every element, kept where x < 10; cumsum takes the
-    # reciprocals off ln 10 one by one, in order
-    parts = -1.0 / (x[..., None] + np.arange(10.0))
-    parts[..., 0] += _LN10_HI
-    raised = parts.cumsum(axis=-1)[..., -1] + (np.log1p(x / 10.0) + _LN10_LO)
-    return np.where(small, raised, np.log(y)) + rest
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
+        raise DomainError(f"digamma requires finite x > 0, got {x!r}")
+    x = float(x)
+    w = 1.0 / (x + 10.0 if x < 10.0 else x)
+    rest = sum([c * w**p for c, p in _PSI_TERMS])
+    if x >= 10.0:
+        return math.log(x) + rest
+    parts = [_LN10_HI, _LN10_LO, math.log1p(x / 10.0), rest]
+    return math.fsum(parts + [-1.0 / (x + i) for i in range(10)])
 
 
 def expected_entropy(spec: DirichletSpec) -> float:
@@ -208,65 +188,6 @@ def predict_alpha(n: int, law: AlphaScalingLaw = AlphaScalingLaw()) -> float:
     except OverflowError:
         raise DomainError("concentration coeff_a * n**exponent_b overflows a float") from None
     return _check_concentration(alpha)
-
-
-def _log_marginal_pdf(spec: DirichletSpec, x: float) -> float:
-    from scipy import special
-    a, b = spec.beta_a, spec.beta_b
-    return (a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - special.betaln(a, b)
-
-
-def marginal_pdf(spec: DirichletSpec, x: float) -> float:
-    """Beta(alpha, (n-1)alpha) density of a single Dirichlet component."""
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"marginal_pdf requires 0 < x < 1, got {x!r}")
-    return math.exp(_log_marginal_pdf(spec, x))
-
-
-def marginal_cdf(spec: DirichletSpec, x: float) -> float:
-    """Regularized incomplete beta CDF of a single Dirichlet component."""
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"marginal_cdf requires 0 <= x <= 1, got {x!r}")
-    from scipy import special
-    return float(special.betainc(spec.beta_a, spec.beta_b, x))
-
-
-def _log_order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
-    from scipy import special
-    n = spec.n
-    log_comb = (
-        special.gammaln(n + 1) - special.gammaln(r) - special.gammaln(n - r + 1)
-    )
-    cdf = marginal_cdf(spec, x)
-    return (
-        log_comb
-        + _log_marginal_pdf(spec, x)
-        + special.xlogy(r - 1, cdf)
-        + special.xlog1py(n - r, -cdf)
-    )
-
-
-def _check_rank(spec: DirichletSpec, r):
-    """r as an int, or an integer array of ranks as an array, all in 1..n."""
-    import numpy as np
-
-    ranks = np.asarray(r)
-    if ranks.dtype.kind not in "iu" or not ((ranks >= 1) & (ranks <= spec.n)).all():
-        raise DomainError(f"order-statistic index must be an integer in 1..{spec.n}, got {r!r}")
-    return ranks if ranks.ndim else int(ranks)
-
-
-def order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
-    """Density at x of the r-th smallest of n iid Beta(alpha, (n-1)alpha) draws.
-
-    That is the iid Beta-marginal construction; the Dirichlet components
-    are dependent, so it only approximates the Dirichlet's order statistics.
-    Evaluated in log space so factorial ratios stay finite up to n ~ 200.
-    """
-    r = _check_rank(spec, r)
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"order_statistic_pdf requires 0 < x < 1, got {x!r}")
-    return math.exp(_log_order_statistic_pdf(spec, r, x))
 
 
 # The moment engine works in s = ln t.  Each rank's window holds its first-
@@ -441,6 +362,16 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
             f"order-statistic moments failed at alpha={alpha:.3g}: means sum to {total!r} "
             f"and second moments to {second!r} of (alpha+1)/(n alpha+1), not 1")
     return OrderStatSummary(n=n, alpha=spec.alpha, mean=means, sd=sds)
+
+
+def _check_rank(spec: DirichletSpec, r):
+    """r as an int, or an integer array of ranks as an array, all in 1..n."""
+    import numpy as np
+
+    ranks = np.asarray(r)
+    if ranks.dtype.kind not in "iu" or not ((ranks >= 1) & (ranks <= spec.n)).all():
+        raise DomainError(f"order-statistic index must be an integer in 1..{spec.n}, got {r!r}")
+    return ranks if ranks.ndim else int(ranks)
 
 
 def order_statistic_quantile(spec: DirichletSpec, r, q: float):

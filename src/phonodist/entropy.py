@@ -3,8 +3,9 @@
 Provides the naive plug-in estimator and the bias-corrected
 Chao-Wang-Jost (CWJ) estimator, which uses singleton/doubleton counts to
 account for unseen categories under undersampling.  Values are in nats.
-Both are sums over Python numbers, so this module imports no numpy; the
-count arguments may still be numpy arrays.
+Both take raw counts, such as a CountVector's ``positive_counts()``, and
+are sums over Python numbers, so this module imports no numpy; the count
+arguments may still be numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from .errors import DomainError
 
 __all__ = [
     "CountVector",
-    "EntropyEstimate",
-    "cwj_entropy",
     "cwj_estimate",
-    "plugin_entropy",
     "plugin_estimate",
     "relative_entropy",
 ]
@@ -61,13 +59,6 @@ class CountVector:
 
     def positive_counts(self) -> list[int]:
         return [int(c) for c in self.entries.values() if c > 0]
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    value: float  # nats
-    method: str  # "plug_in" or "cwj"
-    support_size: int
 
 
 def plugin_estimate(counts: Iterable[float]) -> float:
@@ -128,29 +119,11 @@ def cwj_estimate(counts: Iterable[int]) -> float:
     return estimate
 
 
-def plugin_entropy(counts: CountVector) -> EntropyEstimate:
-    """Plug-in Shannon entropy of a count vector."""
-    positive = counts.positive_counts()
-    return EntropyEstimate(
-        value=plugin_estimate(positive), method="plug_in", support_size=len(positive)
-    )
-
-
-def cwj_entropy(counts: CountVector) -> EntropyEstimate:
-    """Bias-corrected (Chao-Wang-Jost) entropy of a count vector."""
-    positive = counts.positive_counts()
-    if counts.total < 2:
-        raise DomainError("CWJ estimation needs a sample of at least 2 tokens")
-    return EntropyEstimate(
-        value=cwj_estimate(positive), method="cwj", support_size=len(positive)
-    )
-
-
-def relative_entropy(estimate: EntropyEstimate, n: int) -> float:
-    """Entropy as a fraction of its maximum ln(n), clamped into (0, 1]."""
+def relative_entropy(value: float, n: int) -> float:
+    """An entropy (nats) as a fraction of its maximum ln(n), clamped into (0, 1]."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"inventory size must be an integer >= 2, got {n!r}")
-    ratio = estimate.value / math.log(n)
+    ratio = value / math.log(n)
     if ratio > 1.0:
         log.warning(
             "relative entropy %.6g exceeds 1 for n=%d; clamping to 1", ratio, n

@@ -1,5 +1,14 @@
 """Shared exception types, mapped onto CLI exit codes in phonodist.cli."""
 
+__all__ = [
+    "CoverageError",
+    "DomainError",
+    "InfeasibleError",
+    "IngestError",
+    "NumericalError",
+    "PhonodistError",
+]
+
 
 class PhonodistError(Exception):
     """Base class for all package-specific errors."""

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -39,15 +40,15 @@ def run_json(capsys, *argv):
 class TestFitAlpha:
     def test_matches_library(self, capsys):
         payload = run_json(capsys, "fit-alpha", data_path("samoan.tsv"))
-        counts = io.load_frequency_table(data_path("samoan.tsv"))
-        est = entropy.cwj_entropy(counts)
+        positive = io.load_frequency_table(data_path("samoan.tsv")).positive_counts()
+        h_cwj = entropy.cwj_estimate(positive)
         assert payload["schema_version"] == 2
         assert payload["language"] == "samoan"
-        assert payload["n"] == est.support_size
+        assert payload["n"] == len(positive)
         assert payload["alpha_hat"] == float(
-            f"{dirichlet.solve_alpha(est.value, est.support_size):.12g}"
+            f"{dirichlet.solve_alpha(h_cwj, len(positive)):.12g}"
         )
-        assert payload["H_cwj"] == float(f"{est.value:.12g}")
+        assert payload["H_cwj"] == float(f"{h_cwj:.12g}")
 
     def test_n_override(self, capsys):
         payload = run_json(capsys, "fit-alpha", data_path("samoan.tsv"), "--n", "20")
@@ -223,13 +224,10 @@ class TestReconstruct:
 class TestEstimateEntropy:
     def test_matches_library(self, capsys):
         payload = run_json(capsys, "estimate-entropy", data_path("kaiwa.tsv"))
-        counts = io.load_frequency_table(data_path("kaiwa.tsv"))
-        est = entropy.cwj_entropy(counts)
-        assert payload["H_cwj"] == float(f"{est.value:.12g}")
-        assert payload["H_plugin"] == float(
-            f"{entropy.plugin_entropy(counts).value:.12g}"
-        )
-        assert payload["H_max"] == float(f"{math.log(est.support_size):.12g}")
+        positive = io.load_frequency_table(data_path("kaiwa.tsv")).positive_counts()
+        assert payload["H_cwj"] == float(f"{entropy.cwj_estimate(positive):.12g}")
+        assert payload["H_plugin"] == float(f"{entropy.plugin_estimate(positive):.12g}")
+        assert payload["H_max"] == float(f"{math.log(len(positive)):.12g}")
         assert 0.0 < payload["relative_entropy"] <= 1.0
 
 
@@ -451,7 +449,7 @@ class TestRoundTrip:
         assert payload["alpha_hat"] >= summary.alpha
         # and the CLI value is exactly the library fit of the same counts
         loaded = io.load_frequency_table(str(table))
-        expected = dirichlet.solve_alpha(entropy.cwj_entropy(loaded).value, n)
+        expected = dirichlet.solve_alpha(entropy.cwj_estimate(loaded.positive_counts()), n)
         assert payload["alpha_hat"] == float(f"{expected:.12g}")
 
 
@@ -548,25 +546,23 @@ def test_six_subcommands_never_import_scipy(tmp_path):
                 if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
 
-# every name phonodist exported when its __init__ still imported them all
+# every name phonodist exports, each from the one module that defines it
 _EXPORTS = (
     "AlphaScalingLaw", "CompensationReport", "ConstraintVector", "CorrelationResult",
-    "CountVector", "CoverageError", "DirichletSpec", "DomainError", "EntropyEstimate",
-    "FeatureTable", "IncidenceTable", "InfeasibleError", "IngestError", "MaxEntProblem",
-    "MaxEntSolution", "NumericalError", "OrderStatSummary", "PhonemizedLexicon",
-    "PhonodistError", "RegressionFit", "build_feature_table", "compensation_report",
-    "constraint_expectations", "cwj_entropy", "digamma", "expected_entropy",
-    "guessed_distribution", "implied_scaling_law", "lexical_conditional_diversity",
-    "lexical_information_gain_exact", "loglog_regression", "marginal_cdf", "marginal_pdf",
-    "order_statistic_bands", "order_statistic_moments", "order_statistic_pdf",
-    "order_statistic_quantile", "pearson_test", "phoneme_probabilities", "physical_cost",
-    "plugin_entropy", "predict_alpha", "reconstruct_from_inventory", "relative_entropy",
-    "segmental_information", "solve", "solve_alpha",
+    "CountVector", "CoverageError", "DirichletSpec", "DomainError", "FeatureTable",
+    "IncidenceTable", "InfeasibleError", "IngestError", "MaxEntProblem", "MaxEntSolution",
+    "NumericalError", "OrderStatSummary", "PhonemizedLexicon", "PhonodistError",
+    "RegressionFit", "build_feature_table", "compensation_report", "constraint_expectations",
+    "cwj_estimate", "digamma", "expected_entropy", "guessed_distribution",
+    "implied_scaling_law", "lexical_information_gain_exact", "loglog_regression",
+    "order_statistic_bands", "order_statistic_moments", "order_statistic_quantile",
+    "pearson_test", "phoneme_probabilities", "physical_cost", "plugin_estimate",
+    "predict_alpha", "reconstruct_from_inventory", "relative_entropy", "solve", "solve_alpha",
 )
 
 
 def test_every_export_resolves_lazily():
-    assert len(_EXPORTS) == 47
+    assert len(_EXPORTS) == 41
     assert sorted(phonodist.__all__) == sorted(_EXPORTS)
     for name in _EXPORTS:
         # drop the cached binding, so that both forms go through the
@@ -582,6 +578,14 @@ def test_every_export_resolves_lazily():
         phonodist.no_such_name
     with pytest.raises(ImportError):
         exec("from phonodist import no_such_name", {})
+
+
+@pytest.mark.parametrize("module", sorted(phonodist._EXPORTS))
+def test_module_all_lists_only_its_names_and_every_export(module):
+    mod = importlib.import_module(f"phonodist.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == [], f"{module}.__all__ names what it does not define"
+    assert set(phonodist._EXPORTS[module]) <= set(mod.__all__)
 
 
 # Exit-code contract: every file-reading subcommand, fed arbitrary TSV text,
@@ -732,3 +736,16 @@ def test_exit_code_contract(tmp_path, capsys, case, data):
     if code == 0 and argv[0] not in ("features", "reconstruct"):
         text = output.read_text(encoding="utf-8") if "-o" in argv else out
         json.loads(text, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize(
+    "argv", [["predict-alpha", "--n", "40"], ["reconstruct", "--n", "5"]], ids=["json", "tsv"]
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exits_3_naming_the_path(tmp_path, capsys, argv, target):
+    output = tmp_path / "absent" / "out" if target == "missing-dir" else tmp_path
+    code = cli.main([*argv, "-o", str(output)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {output}: ")
+    assert err.count("\n") == 1

@@ -11,12 +11,11 @@ from phonodist.corpus import (
     IncidenceTable,
     PhonemizedLexicon,
     build_feature_table,
+    _PrefixTree,
     constraint_expectations,
-    lexical_conditional_diversity,
     lexical_information_gain_exact,
     phoneme_probabilities,
     physical_cost,
-    segmental_information,
 )
 from phonodist.entropy import cwj_estimate, plugin_estimate
 from phonodist.errors import CoverageError, DomainError
@@ -37,6 +36,17 @@ def seg_info_oracle(entries, p):
     return sum(
         w / weight * math.log(freq_o_any[o] / w) for o, w in freq_op.items()
     )
+
+
+def seg_info(lex):
+    """Segmental information of every phoneme, off one prefix-tree traversal."""
+    return _PrefixTree(lex).segmental_information()
+
+
+def lex_div(lex):
+    """The lex_div column of a feature table that matches every phoneme."""
+    table = build_feature_table(lex, IncidenceTable(dict.fromkeys(lex.inventory, 0.5)))
+    return dict(zip(table.phonemes, table.lex_div))
 
 
 def word_entropy_oracle(entries, prefix):
@@ -84,6 +94,15 @@ class TestLexiconConstruction:
         with pytest.raises(DomainError):
             PhonemizedLexicon.build([((END_MARKER,), 1)])
 
+    @pytest.mark.parametrize("count", ["3", None, True, 2.0, 0, -1])
+    def test_rejects_non_positive_or_non_integer_counts(self, count):
+        with pytest.raises(DomainError, match="positive integer"):
+            PhonemizedLexicon.build([(("a",), count)])
+
+    def test_accepts_numpy_integer_counts(self):
+        lex = PhonemizedLexicon.build([(("a",), np.int64(2)), (("a",), 1)])
+        assert lex.entries == ((("a",), 3),)
+
 
 class TestPhonemeProbabilities:
     def test_two_tokens(self):
@@ -122,53 +141,53 @@ class TestSegmentalInformation:
     def test_forced_continuation_is_zero(self):
         # b always and only follows "a", and nothing else can follow "a"
         lex = PhonemizedLexicon.build([(("a", "b"), 3)])
-        assert segmental_information(lex, "b") == 0.0
+        assert seg_info(lex)["b"] == 0.0
 
     def test_two_equiprobable_continuations(self):
         lex = PhonemizedLexicon.build([(("a", "b"), 1), (("a", "c"), 1)])
-        assert segmental_information(lex, "b") == pytest.approx(math.log(2))
+        assert seg_info(lex)["b"] == pytest.approx(math.log(2))
 
     def test_fixture_against_brute_force(self):
         lex = fixture_lexicon()
+        values = seg_info(lex)
+        assert sorted(values) == sorted(lex.inventory)
         for p in sorted(lex.inventory):
-            assert segmental_information(lex, p) == pytest.approx(
-                seg_info_oracle(FIXTURE, p), abs=1e-12
-            )
+            assert values[p] == pytest.approx(seg_info_oracle(FIXTURE, p), abs=1e-12)
 
     def test_absent_phoneme(self):
-        with pytest.raises(DomainError):
-            segmental_information(fixture_lexicon(), "z")
+        # a phoneme that never occurs gets no value
+        assert "z" not in seg_info(fixture_lexicon())
 
     @given(words_strategy)
     @settings(max_examples=40, deadline=None)
     def test_non_negative(self, rows):
         lex = PhonemizedLexicon.build(rows)
-        for p in sorted(lex.inventory):
-            assert segmental_information(lex, p) >= -1e-12
+        assert all(v >= -1e-12 for v in seg_info(lex).values())
 
 
 class TestLexicalConditionalDiversity:
     def test_single_word_type(self):
         lex = PhonemizedLexicon.build([(("a", "b"), 5), (("c",), 1)])
-        assert lexical_conditional_diversity(lex, "b") == 0.0
+        assert lex_div(lex)["b"] == 0.0
 
     def test_two_large_equal_word_types(self):
         lex = PhonemizedLexicon.build([(("a", "b"), 500), (("b", "c"), 500)])
-        assert lexical_conditional_diversity(lex, "b") == pytest.approx(
-            math.log(2), abs=1e-3
-        )
+        assert lex_div(lex)["b"] == pytest.approx(math.log(2), abs=1e-3)
 
     def test_compositional_oracle(self):
         lex = fixture_lexicon()
+        values = lex_div(lex)
         for p in sorted(lex.inventory):
             sub = np.array([c for seq, c in FIXTURE if p in seq], dtype=np.int64)
-            assert lexical_conditional_diversity(lex, p) == pytest.approx(
-                cwj_estimate(sub), abs=1e-12
-            )
+            assert values[p] == pytest.approx(cwj_estimate(sub), abs=1e-12)
 
     def test_absent_phoneme(self):
-        with pytest.raises(DomainError):
-            lexical_conditional_diversity(fixture_lexicon(), "z")
+        # an incidence entry for a phoneme that never occurs makes no row
+        lex = fixture_lexicon()
+        incidence = IncidenceTable(dict.fromkeys([*lex.inventory, "z"], 0.5))
+        table = build_feature_table(lex, incidence)
+        assert sorted(table.phonemes) == sorted(lex.inventory)
+        assert len(table.lex_div) == len(lex.inventory)
 
 
 class TestLexicalInformationGain:
