@@ -17,7 +17,9 @@ on all five tables, with and without --n; features on both toy lexicons
 and maxent on each result; regress on the five fitted (n, alpha_hat)
 rows; report over the five tables in two orders; and a few edge inputs
 (an overflowing and an underflowing law, a flat and an exact-line
-regression).
+regression, fit-alpha on uniform counts, which no concentration fits,
+report over tables whose points give no regression, and fit-alpha and
+estimate-entropy with an --n below the table's support).
 """
 
 from __future__ import annotations
@@ -110,6 +112,13 @@ def main() -> None:
         run("regress", str(tmp / "flat.tsv"))
         (tmp / "line.tsv").write_text("10\t2\n20\t1\n40\t0.5\n", encoding="utf-8")
         run("regress", str(tmp / "line.tsv"))
+        (tmp / "uniform.tsv").write_text("a\t100\nb\t100\nc\t100\n", encoding="utf-8")
+        run("fit-alpha", str(tmp / "uniform.tsv"))
+        samoan, kaiwa = str(data / "samoan.tsv"), str(data / "kaiwa.tsv")
+        run("report", samoan, samoan, samoan)
+        run("report", samoan, samoan, kaiwa)
+        run("fit-alpha", str(data / "amenglish.tsv"), "--n", "20")
+        run("estimate-entropy", kaiwa, "--n", "5")
 
 
 if __name__ == "__main__":

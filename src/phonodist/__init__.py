@@ -16,6 +16,7 @@ _EXPORTS = {
         "CorrelationResult",
         "RegressionFit",
         "compensation_report",
+        "fit_language",
         "implied_scaling_law",
         "loglog_regression",
         "pearson_test",

@@ -1,11 +1,12 @@
 """Cross-language statistics.
 
-Log-log regression of the fitted concentration on inventory size,
-Pearson correlation with t-tests, and the compensation report comparing
-observed and guessed relative entropies across languages.  The
-regression is closed-form least squares and the Student-t tail
-probabilities come from the finite sums for integer degrees of freedom,
-so only ``band_coverage`` imports numpy.
+The per-language concentration fit behind fit-alpha and report, the
+log-log regression of the fits on inventory size, Pearson correlation
+with t-tests, and the compensation report comparing observed and guessed
+relative entropies across languages.  The regression is one closed-form
+least-squares line and the Student-t tail probabilities come from the
+finite sums for integer degrees of freedom, so only ``band_coverage``
+imports numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
@@ -30,6 +31,7 @@ __all__ = [
     "RegressionFit",
     "band_coverage",
     "compensation_report",
+    "fit_language",
     "implied_scaling_law",
     "loglog_regression",
     "pearson_test",
@@ -109,36 +111,11 @@ def _t_two_sided_p(t: float, df: int) -> float:
 _EXACT_FIT_ULPS = 16
 
 
-def _line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """Least-squares line through one group of points.
+def loglog_regression(points: Sequence[tuple[float, float]]) -> RegressionFit:
+    """OLS of ln(alpha_hat) on ln(n), in closed form.
 
-    Returns the intercept, the slope, the residual sum of squares and the
-    diagonal of (X'X)^-1 for the intercept and the slope.
-    """
-    k = len(xs)
-    mx, my = math.fsum(xs) / k, math.fsum(ys) / k
-    dx = [x - mx for x in xs]
-    sxx = math.fsum(d * d for d in dx)
-    slope = math.fsum(d * (y - my) for d, y in zip(dx, ys)) / sxx
-    intercept = my - slope * mx
-    rss = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
-    return intercept, slope, rss, 1.0 / k + mx * mx / sxx, 1.0 / sxx
-
-
-def loglog_regression(
-    points: Sequence[tuple[float, float]],
-    origins: Sequence[str] | None = None,
-) -> RegressionFit:
-    """OLS of ln(alpha_hat) on ln(n).
-
-    With ``origins`` given, dataset origin and its interaction with
-    ln(n) enter as dummy-coded covariates; the reported slope is then the
-    baseline-group coefficient on ln(n).  With every group's intercept and
-    slope free, the baseline (first origin in sort order) coefficients are
-    that group's own least-squares line, and the residual variance pools
-    every group's residuals over N - 2g degrees of freedom, so the fit is
-    closed-form.  Residuals at the level of rounding noise, as an exact
-    float power law leaves, count as zero residual variance.
+    Residuals at the level of rounding noise, as an exact float power law
+    leaves, count as zero residual variance.
     """
     if len(points) < 3:
         raise DomainError("regression needs at least 3 points")
@@ -149,36 +126,27 @@ def loglog_regression(
     if min(xs) == max(xs):
         raise DomainError("degenerate regression: no variance in ln(n)")
 
-    if origins is None:
-        origins = [""] * len(points)
-    elif len(origins) != len(points):
-        raise DomainError("origins must align with points")
-    groups: dict[str, tuple[list[float], list[float]]] = {}
-    for origin, x, y in zip(origins, xs, ys):
-        gx, gy = groups.setdefault(origin, ([], []))
-        gx.append(x)
-        gy.append(y)
-    if any(min(gx) == max(gx) for gx, _ in groups.values()):
-        raise DomainError("degenerate regression design (collinear covariates)")
-    df = len(points) - 2 * len(groups)
-    if df <= 0:
-        raise DomainError("not enough points for the requested covariates")
-    lines = {origin: _line(*groups[origin]) for origin in groups}
-    intercept, slope, _, v_intercept, v_slope = lines[min(groups)]
-    s2 = math.fsum(line[2] for line in lines.values()) / df
-    scale = max(max(abs(y), abs(lines[o][1] * x)) for o, x, y in zip(origins, xs, ys))
+    k = len(points)
+    mx, my = math.fsum(xs) / k, math.fsum(ys) / k
+    dx = [x - mx for x in xs]
+    sxx = math.fsum(d * d for d in dx)
+    slope = math.fsum(d * (y - my) for d, y in zip(dx, ys)) / sxx
+    intercept = my - slope * mx
+    df = k - 2
+    s2 = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys)) / df
+    scale = max(max(abs(y), abs(slope * x)) for x, y in zip(xs, ys))
     if math.sqrt(s2) <= _EXACT_FIT_ULPS * sys.float_info.epsilon * scale:
         raise DomainError("degenerate regression: zero residual variance")
-    se_slope = math.sqrt(s2 * v_slope)
+    se_slope = math.sqrt(s2 * (1.0 / sxx))
     t_slope = slope / se_slope
     return RegressionFit(
         slope=slope,
         intercept=intercept,
         se_slope=se_slope,
-        se_intercept=math.sqrt(s2 * v_intercept),
+        se_intercept=math.sqrt(s2 * (1.0 / k + mx * mx / sxx)),
         t_slope=t_slope,
         p_slope=_t_two_sided_p(t_slope, df),
-        n_points=len(points),
+        n_points=k,
     )
 
 
@@ -256,6 +224,31 @@ class CompensationReport:
     law: AlphaScalingLaw | None
 
 
+def _inventory_size(positive: Sequence[int], n: int | None) -> int:
+    """The declared inventory size n, or the observed support when n is None."""
+    if n is not None and n < len(positive):
+        raise DomainError(
+            f"declared inventory size {n} is below the {len(positive)} phonemes observed"
+        )
+    return len(positive) if n is None else n
+
+
+def fit_language(name: str, counts: CountVector, n: int | None = None) -> LanguageFit:
+    """CWJ entropy and fitted concentration of one language of inventory size n.
+
+    Where no concentration fits, ``alpha_hat`` is None and ``note`` says why.
+    """
+    positive = counts.positive_counts()
+    h_cwj = cwj_estimate(positive)
+    n = _inventory_size(positive, n)
+    h_max = math.log(n)
+    rel = relative_entropy(h_cwj, n)
+    if 0.0 < h_cwj < h_max:
+        return LanguageFit(name, n, h_cwj, h_max, rel, solve_alpha(h_cwj, n))
+    note = f"alpha infeasible: H={h_cwj:.6g} not inside (0, ln n={h_max:.6g})"
+    return LanguageFit(name, n, h_cwj, h_max, rel, alpha_hat=None, note=note)
+
+
 def compensation_report(
     languages: Sequence[tuple[str, CountVector, int | None]],
     solutions: Mapping[str, MaxEntSolution] | None = None,
@@ -264,38 +257,22 @@ def compensation_report(
 
     ``languages`` holds (name, counts, declared inventory size); a None
     size defaults to the observed support.  Optional maxent solutions add
-    guessed relative entropies.
+    guessed relative entropies.  Points that admit no regression leave
+    the regression and the law None, with a warning naming the reason.
     """
     rows = []
     for name, counts, declared_n in languages:
-        positive = counts.positive_counts()
-        h_cwj = cwj_estimate(positive)
-        n = declared_n if declared_n is not None else len(positive)
-        h_max = math.log(n)
-        rel = relative_entropy(h_cwj, n)
-        note = None
-        if 0.0 < h_cwj < h_max:
-            alpha_hat = solve_alpha(h_cwj, n)
-        else:
-            alpha_hat = None
-            note = f"alpha infeasible: H={h_cwj:.6g} not inside (0, ln n={h_max:.6g})"
-            log.warning("%s: %s", name, note)
-        guessed = None
+        row = fit_language(name, counts, declared_n)
+        if row.note is not None:
+            log.warning("%s: %s", name, row.note)
         if solutions is not None and name in solutions:
-            guessed = min(solutions[name].entropy / h_max, 1.0)
-        rows.append(
-            LanguageFit(
-                name=name,
-                n=n,
-                entropy_cwj=h_cwj,
-                h_max=h_max,
-                relative_entropy=rel,
-                alpha_hat=alpha_hat,
-                guessed_relative_entropy=guessed,
-                note=note,
-            )
-        )
+            guessed = min(solutions[name].entropy / row.h_max, 1.0)
+            row = replace(row, guessed_relative_entropy=guessed)
+        rows.append(row)
     points = [(row.n, row.alpha_hat) for row in rows if row.alpha_hat is not None]
-    regression = loglog_regression(points) if len(points) >= 3 else None
-    law = implied_scaling_law(regression) if regression is not None else None
-    return CompensationReport(rows=tuple(rows), regression=regression, law=law)
+    try:
+        regression = loglog_regression(points)
+    except DomainError as exc:
+        log.warning("no regression: %s", exc)
+        return CompensationReport(tuple(rows), None, None)
+    return CompensationReport(tuple(rows), regression, implied_scaling_law(regression))

@@ -116,34 +116,22 @@ def _add_law_args(p: argparse.ArgumentParser) -> None:
                    help="scaling-law exponent (default -0.95)")
 
 
-def _fit_language(name: str, counts: entropy.CountVector, n: int | None) -> dict:
-    positive = counts.positive_counts()
-    h_cwj = entropy.cwj_estimate(positive)
-    if n is None:
-        n = len(positive)
-    h_max = math.log(n)
-    if not 0.0 < h_cwj < h_max:
-        raise InfeasibleError(
-            f"{name}: CWJ entropy {h_cwj:.6g} not inside (0, ln n = {h_max:.6g}); "
-            "no finite concentration fits"
-        )
-    alpha_hat = dirichlet.solve_alpha(h_cwj, n)
-    return {
-        "language": name,
-        "n": n,
-        "tokens": counts.total,
-        "H_plugin": entropy.plugin_estimate(positive),
-        "H_cwj": h_cwj,
-        "alpha_hat": alpha_hat,
-        "relative_entropy": entropy.relative_entropy(h_cwj, n),
-    }
-
-
 def cmd_fit_alpha(args) -> None:
     counts = io.load_frequency_table(args.table)
     name = args.language or Path(args.table).stem
-    payload = _fit_language(name, counts, args.n)
-    payload["config"] = {"n_override": args.n}
+    fit = analysis.fit_language(name, counts, args.n)
+    if fit.alpha_hat is None:
+        raise InfeasibleError(f"{name}: {fit.note}")
+    payload = {
+        "language": name,
+        "n": fit.n,
+        "tokens": counts.total,
+        "H_plugin": entropy.plugin_estimate(counts.positive_counts()),
+        "H_cwj": fit.entropy_cwj,
+        "alpha_hat": fit.alpha_hat,
+        "relative_entropy": fit.relative_entropy,
+        "config": {"n_override": args.n},
+    }
     _emit_json(payload, args.output)
 
 
@@ -176,7 +164,7 @@ def cmd_estimate_entropy(args) -> None:
     counts = io.load_frequency_table(args.table)
     positive = counts.positive_counts()
     h_cwj = entropy.cwj_estimate(positive)
-    n = args.n if args.n is not None else len(positive)
+    n = analysis._inventory_size(positive, args.n)
     payload = {
         "language": args.language or Path(args.table).stem,
         "n": n,

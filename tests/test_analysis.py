@@ -1,5 +1,6 @@
 import itertools
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from phonodist.analysis import (
     _t_two_sided_p,
     band_coverage,
     compensation_report,
+    fit_language,
     implied_scaling_law,
     loglog_regression,
     pearson_test,
@@ -15,7 +17,12 @@ from phonodist.analysis import (
 from phonodist.dirichlet import AlphaScalingLaw, predict_alpha
 from phonodist.entropy import CountVector
 from phonodist.errors import DomainError
+from phonodist.io import load_frequency_table
 from phonodist.maxent import MaxEntProblem, solve
+
+
+def data_path(name):
+    return str(files("phonodist") / "data" / name)
 
 
 def law_points(ns, law=None, rng=None, sigma=0.0, wobble=0.0):
@@ -41,19 +48,13 @@ EXACT_LAW_GRID = list(itertools.product(
 ))
 
 
-def ols_reference(points, origins):
-    """30-digit OLS of ln(alpha) on the full dummy design: intercept, ln n,
-    then a dummy and its interaction with ln n for every non-baseline origin."""
+def ols_reference(points):
+    """30-digit OLS of ln(alpha) on the two-column design: intercept and ln n."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         xs = [mpmath.log(n) for n, _ in points]
         ys = [mpmath.log(a) for _, a in points]
-        rows = [[1, x] for x in xs]
-        for level in sorted(set(origins))[1:]:
-            for row, x, origin in zip(rows, xs, origins):
-                dummy = 1 if origin == level else 0
-                row += [dummy, dummy * x]
-        design = mpmath.matrix(rows)
+        design = mpmath.matrix([[1, x] for x in xs])
         gram_inv = (design.T * design) ** -1
         coef = gram_inv * (design.T * mpmath.matrix(ys))
         resid = mpmath.matrix(ys) - design * coef
@@ -96,16 +97,6 @@ class TestLoglogRegression:
         assert abs(resid.sum()) < 1e-10
         assert abs(resid @ x) < 1e-9
 
-    def test_origin_covariates(self):
-        rng = np.random.default_rng(8)
-        pts_a = law_points(range(10, 90, 5), rng=rng, sigma=0.05)
-        law_b = AlphaScalingLaw(coeff_a=25.0, exponent_b=-1.05)
-        pts_b = law_points(range(12, 92, 5), law=law_b, rng=rng, sigma=0.05)
-        origins = ["a"] * len(pts_a) + ["b"] * len(pts_b)
-        fit = loglog_regression(pts_a + pts_b, origins=origins)
-        # baseline slope should track dataset a, not the pooled mixture
-        assert fit.slope == pytest.approx(-0.95, abs=0.1)
-
     def test_too_few_points(self):
         with pytest.raises(DomainError):
             loglog_regression(law_points([10, 20]))
@@ -137,37 +128,19 @@ class TestLoglogRegression:
             assert 0 < fit.se_slope < 1e-8, (a, b, ns)
 
     @pytest.mark.parametrize("groups", [1, 2, 3])
-    def test_against_mpmath_dummy_design(self, groups):
+    def test_against_mpmath_mixed_laws(self, groups):
+        # points from one, two or three laws, pooled into one line
         rng = np.random.default_rng(40 + groups)
         laws = [AlphaScalingLaw(), AlphaScalingLaw(25.0, -1.05), AlphaScalingLaw(12.0, -0.8)]
-        # listed out of sort order, so the baseline is not the first group given
-        labels = ["b", "a", "c"][:groups]
-        points, origins = [], []
-        for label, law in zip(labels, laws):
+        points = []
+        for law in laws[:groups]:
             ns = rng.integers(11, 161, size=12)
             points += law_points(ns, law=law, rng=rng, sigma=0.1)
-            origins += [label] * len(ns)
-        # with origins, and pooled without them
-        for given, design in ((origins, origins), (None, [""] * len(points))):
-            fit = loglog_regression(points, origins=given)
-            for name, want in ols_reference(points, design).items():
-                got = getattr(fit, name)
-                assert abs(got - want) <= 1e-12 * abs(want), (given, name, got, want)
-            assert fit.n_points == len(points)
-
-    def test_group_with_one_distinct_n_is_collinear(self):
-        points = law_points([10, 20, 40, 80], wobble=0.01) + [(30.0, 0.7), (30.0, 0.9)]
-        with pytest.raises(DomainError, match="collinear"):
-            loglog_regression(points, origins=["a"] * 4 + ["b"] * 2)
-
-    def test_no_degrees_of_freedom_left(self):
-        points = law_points([10, 20, 30, 40], wobble=0.01)
-        with pytest.raises(DomainError, match="not enough points for the requested covariates"):
-            loglog_regression(points, origins=["a", "a", "b", "b"])
-
-    def test_misaligned_origins(self):
-        with pytest.raises(DomainError):
-            loglog_regression(law_points([10, 20, 30]), origins=["a", "b"])
+        fit = loglog_regression(points)
+        for name, want in ols_reference(points).items():
+            got = getattr(fit, name)
+            assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
+        assert fit.n_points == len(points)
 
 
 class TestStudentT:
@@ -332,6 +305,19 @@ class TestCompensationReport:
         assert report.regression is None
         assert report.law is None
 
+    @pytest.mark.parametrize("names, reason", [
+        (("samoan", "samoan", "samoan"), "no variance in ln(n)"),
+        (("samoan", "samoan", "kaiwa"), "zero residual variance"),
+    ])
+    def test_undefined_regression_keeps_the_rows(self, caplog, names, reason):
+        langs = [(name, load_frequency_table(data_path(f"{name}.tsv")), None) for name in names]
+        report = compensation_report(langs)
+        assert [row.name for row in report.rows] == list(names)
+        assert all(row.alpha_hat is not None for row in report.rows)
+        assert report.regression is None and report.law is None
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"no regression: degenerate regression: {reason}"]
+
     def test_guessed_relative_entropy_attached_and_dominates(self):
         name, counts, n = synthetic_language("lang", 10, 20000, 305)
         # a maxent fit constrained only weakly sits at/above the observed
@@ -347,3 +333,17 @@ class TestCompensationReport:
         assert row.guessed_relative_entropy is not None
         assert row.guessed_relative_entropy <= 1.0
         assert row.guessed_relative_entropy >= row.relative_entropy - 0.05
+
+
+class TestFitLanguage:
+    def test_declared_inventory_below_support_is_refused(self):
+        counts = CountVector({"a": 5, "b": 3, "c": 2})
+        with pytest.raises(DomainError, match="^declared inventory size 2 is below the 3 "):
+            fit_language("x", counts, 2)
+        assert fit_language("x", counts, 3).n == 3
+        assert fit_language("x", counts).n == 3
+
+    def test_infeasible_entropy_is_a_note(self):
+        fit = fit_language("flat", CountVector({"a": 100, "b": 100, "c": 100}))
+        assert fit.alpha_hat is None
+        assert fit.note == "alpha infeasible: H=1.10195 not inside (0, ln n=1.09861)"

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import phonodist
-from phonodist import cli, corpus, dirichlet, entropy, io, maxent
+from phonodist import analysis, cli, corpus, dirichlet, entropy, io, maxent
 from phonodist.errors import NumericalError
 
 from mp_oracle import mp_rank_moments
@@ -60,7 +60,10 @@ class TestFitAlpha:
         table.write_text("a\t100\nb\t100\nc\t100\n", encoding="utf-8")
         code, _, err = run(capsys, "fit-alpha", str(table))
         assert code == 4
-        assert "error:" in err
+        # the note a report row carries, after the table's name
+        assert err.endswith(
+            "error: uniform: alpha infeasible: H=1.10195 not inside (0, ln n=1.09861)\n"
+        )
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit-alpha", str(tmp_path / "nope.tsv"))
@@ -73,6 +76,31 @@ class TestFitAlpha:
         code, _, err = run(capsys, "fit-alpha", str(table))
         assert code == 3
         assert "bad.tsv:2" in err
+
+
+@pytest.mark.parametrize("argv, support", [
+    (["fit-alpha", data_path("amenglish.tsv"), "--n", "20"], 35),
+    (["estimate-entropy", data_path("kaiwa.tsv"), "--n", "5"], 17),
+], ids=["fit-alpha", "estimate-entropy"])
+def test_declared_inventory_below_support_exits_3(capsys, argv, support):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: declared inventory size {argv[-1]} is below the {support} phonemes observed\n"
+
+
+@pytest.mark.parametrize("name", ["amenglish", "bengali", "kaiwa", "samoan", "swedish"])
+def test_fit_alpha_and_report_share_the_language_fit(capsys, name):
+    path = data_path(f"{name}.tsv")
+    fit = analysis.fit_language(name, io.load_frequency_table(path))
+    expected = cli._round12({
+        "language": name, "n": fit.n, "H_cwj": fit.entropy_cwj,
+        "alpha_hat": fit.alpha_hat, "relative_entropy": fit.relative_entropy,
+    })
+    payload = run_json(capsys, "fit-alpha", path)
+    assert {key: payload[key] for key in expected} == expected
+    row = run_json(capsys, "report", path, data_path("kaiwa.tsv"))["languages"][0]
+    assert row == {**expected, "H_max": cli._round12(fit.h_max),
+                   "guessed_relative_entropy": None, "note": None}
 
 
 class TestPredictAlpha:
@@ -420,6 +448,14 @@ class TestReport:
         assert f"unrecognized arguments: --jobs {jobs}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("names", [
+        ("samoan", "samoan", "samoan"), ("samoan", "samoan", "kaiwa")
+    ])
+    def test_undefined_regression_prints_rows(self, capsys, names):
+        payload = run_json(capsys, "report", *(data_path(f"{name}.tsv") for name in names))
+        assert [row["language"] for row in payload["languages"]] == list(names)
+        assert payload["regression"] is None and payload["law"] is None
+
     def test_empty_config(self, capsys):
         payload = run_json(capsys, "report", data_path("kaiwa.tsv"), data_path("samoan.tsv"))
         assert payload["config"] == {}
@@ -553,7 +589,7 @@ _EXPORTS = (
     "IncidenceTable", "InfeasibleError", "IngestError", "MaxEntProblem", "MaxEntSolution",
     "NumericalError", "OrderStatSummary", "PhonemizedLexicon", "PhonodistError",
     "RegressionFit", "build_feature_table", "compensation_report", "constraint_expectations",
-    "cwj_estimate", "digamma", "expected_entropy", "guessed_distribution",
+    "cwj_estimate", "digamma", "expected_entropy", "fit_language", "guessed_distribution",
     "implied_scaling_law", "lexical_information_gain_exact", "loglog_regression",
     "order_statistic_bands", "order_statistic_moments", "order_statistic_quantile",
     "pearson_test", "phoneme_probabilities", "physical_cost", "plugin_estimate",
@@ -562,7 +598,7 @@ _EXPORTS = (
 
 
 def test_every_export_resolves_lazily():
-    assert len(_EXPORTS) == 41
+    assert len(_EXPORTS) == 42
     assert sorted(phonodist.__all__) == sorted(_EXPORTS)
     for name in _EXPORTS:
         # drop the cached binding, so that both forms go through the
