@@ -18,8 +18,10 @@ and maxent on each result; regress on the five fitted (n, alpha_hat)
 rows; report over the five tables in two orders; and a few edge inputs
 (an overflowing and an underflowing law, a flat and an exact-line
 regression, fit-alpha on uniform counts, which no concentration fits,
-report over tables whose points give no regression, and fit-alpha and
-estimate-entropy with an --n below the table's support).
+report over tables whose points give no regression, fit-alpha and
+estimate-entropy with an --n below the table's support, and features on
+toy_a with an incidence table that leaves out "p", above and below the
+coverage floor).
 """
 
 from __future__ import annotations
@@ -119,6 +121,13 @@ def main() -> None:
         run("report", samoan, samoan, kaiwa)
         run("fit-alpha", str(data / "amenglish.tsv"), "--n", "20")
         run("estimate-entropy", kaiwa, "--n", "5")
+        rows = (data / "toy_incidence.tsv").read_text(encoding="utf-8").splitlines(True)
+        partial = tmp / "partial_incidence.tsv"
+        partial.write_text("".join(r for r in rows if not r.startswith("p\t")), encoding="utf-8")
+        toy_a = str(data / "toy_a.lex")
+        run("features", toy_a, str(partial), "--coverage-floor", "0.5",
+            output=tmp / "features_partial.tsv")
+        run("features", toy_a, str(partial))
 
 
 if __name__ == "__main__":

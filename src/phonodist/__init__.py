@@ -29,8 +29,6 @@ _EXPORTS = {
         "build_feature_table",
         "constraint_expectations",
         "lexical_information_gain_exact",
-        "phoneme_probabilities",
-        "physical_cost",
     ),
     "dirichlet": (
         "AlphaScalingLaw",

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
 from .entropy import CountVector, cwj_estimate, relative_entropy
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 
 if TYPE_CHECKING:
     from .maxent import MaxEntSolution
@@ -189,17 +189,17 @@ def pearson_test(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 def band_coverage(counts: CountVector) -> float:
     """Fraction of observed rank probabilities inside the fitted bands.
 
-    Fits the concentration from the CWJ entropy, then checks each
-    observed rank probability against the 95 % order-statistic interval
-    of the fitted Dirichlet.
+    Fits the concentration with ``fit_language`` (``InfeasibleError``
+    with its note where none fits), then checks each observed rank
+    probability against the 95 % order-statistic interval of the fit.
     """
     import numpy as np
 
-    positive = counts.positive_counts()
-    n = len(positive)
-    alpha_hat = solve_alpha(cwj_estimate(positive), n)
-    low, high = order_statistic_bands(DirichletSpec(n, alpha_hat), 0.95)
-    ranked = np.sort(positive)[::-1]
+    fit = fit_language("", counts)
+    if fit.alpha_hat is None:
+        raise InfeasibleError(fit.note)
+    low, high = order_statistic_bands(DirichletSpec(fit.n, fit.alpha_hat), 0.95)
+    ranked = np.sort(counts.positive_counts())[::-1]
     observed = ranked / ranked.sum()
     inside = (low <= observed) & (observed <= high)
     return int(inside.sum()) / len(observed)

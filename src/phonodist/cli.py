@@ -110,10 +110,11 @@ def _law_from_args(args) -> dirichlet.AlphaScalingLaw:
 
 
 def _add_law_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coeff-a", type=_positive_arg, default=19.47,
-                   help="scaling-law coefficient (default 19.47)")
-    p.add_argument("--exponent-b", type=float, default=-0.95,
-                   help="scaling-law exponent (default -0.95)")
+    law = dirichlet.AlphaScalingLaw()
+    p.add_argument("--coeff-a", type=_positive_arg, default=law.coeff_a,
+                   help=f"scaling-law coefficient (default {law.coeff_a})")
+    p.add_argument("--exponent-b", type=float, default=law.exponent_b,
+                   help=f"scaling-law exponent (default {law.exponent_b})")
 
 
 def cmd_fit_alpha(args) -> None:

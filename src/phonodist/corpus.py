@@ -9,10 +9,11 @@ start; an end-of-word marker is appended internally so every word is a
 leaf of the prefix tree, but the marker is not a phoneme and gets no
 features.
 
-One prefix tree and one pass serve every phoneme: ``build_feature_table``
-builds the tree once, reads all segmental information off a single
-traversal of its edges, and gathers every phoneme's word set in a single
-pass over the entries.
+Building the prefix tree is the one pass over a lexicon's entries:
+``build_feature_table`` builds it once and reads every column off it,
+the observed probabilities from its per-phoneme token counts, all
+segmental information from a single sweep of its edges, and every
+phoneme's word set from its end-marker edges.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "build_feature_table",
     "constraint_expectations",
     "lexical_information_gain_exact",
-    "phoneme_probabilities",
-    "physical_cost",
 ]
 
 END_MARKER = "#"
@@ -82,63 +81,46 @@ class PhonemizedLexicon:
 
 
 class _PrefixTree:
-    """Token-weighted trie over end-marker-augmented words."""
+    """Token-weighted trie over end-marker-augmented words, and each
+    phoneme's token count in ``weight``."""
 
     def __init__(self, lexicon: PhonemizedLexicon):
         self.edge: dict[Word, dict[str, int]] = defaultdict(dict)
+        self.weight: dict[str, int] = defaultdict(int)
         for seq, count in lexicon.entries:
             prefix: Word = ()
             for sym in seq + (END_MARKER,):
                 children = self.edge[prefix]
                 children[sym] = children.get(sym, 0) + count
+                self.weight[sym] += count
                 prefix = prefix + (sym,)
+        del self.weight[END_MARKER]
 
     def segmental_information(self) -> dict[str, float]:
         """Average surprisal of every phoneme given the prefixes preceding it.
 
-        One sweep sums each symbol's context weight W_p; a second, in the
-        same edge order, accumulates (w/W_p)·ln(out/w).  Word-final
-        positions count through the end marker, so the continuation mass
-        at each context includes words ending there.
+        One sweep of the edges accumulates (w/W_p)·ln(out/w), with W_p the
+        phoneme's token count.  Word-final positions count through the
+        end marker, so the continuation mass at each context includes
+        words ending there.
         """
-        weight: dict[str, int] = defaultdict(int)
-        for children in self.edge.values():
-            for sym, w in children.items():
-                weight[sym] += w
-        del weight[END_MARKER]
-        info = dict.fromkeys(weight, 0.0)
+        info = dict.fromkeys(self.weight, 0.0)
         for children in self.edge.values():
             out = sum(children.values())
             for sym, w in children.items():
                 if sym in info:
-                    info[sym] += (w / weight[sym]) * math.log(out / w)
+                    info[sym] += (w / self.weight[sym]) * math.log(out / w)
         return info
 
-
-def _word_sets(lexicon: PhonemizedLexicon) -> dict[str, list[int]]:
-    """Token counts of the words containing each phoneme, in entry order."""
-    sets: dict[str, list[int]] = defaultdict(list)
-    for seq, count in lexicon.entries:
-        for p in set(seq):
-            sets[p].append(count)
-    return sets
-
-
-def phoneme_probabilities(lexicon: PhonemizedLexicon) -> dict[str, float]:
-    """Token-weighted phoneme occurrence probabilities, summing to 1."""
-    counts: dict[str, float] = defaultdict(float)
-    for seq, count in lexicon.entries:
-        for p in seq:
-            counts[p] += count
-    total = sum(counts.values())
-    return {p: c / total for p, c in sorted(counts.items())}
-
-
-def physical_cost(p: str, table: "IncidenceTable") -> float:
-    """Negative log cross-linguistic incidence probability of a phoneme."""
-    if p not in table.probs:
-        raise DomainError(f"phoneme {p!r} absent from the incidence table (excluded)")
-    return -math.log(table.probs[p])
+    def word_sets(self) -> dict[str, list[int]]:
+        """Token counts of the words containing each phoneme, in entry order:
+        sorted entries make each word's node before any longer word's."""
+        sets: dict[str, list[int]] = defaultdict(list)
+        for word, children in self.edge.items():
+            if END_MARKER in children:
+                for p in set(word):
+                    sets[p].append(children[END_MARKER])
+        return sets
 
 
 @dataclass(frozen=True)
@@ -250,8 +232,9 @@ def build_feature_table(
     observed probabilities renormalized over the matched ones; contexts
     for the two corpus features still come from the full lexicon.
     """
-    probs = phoneme_probabilities(lexicon)
-    occurring = sorted(probs, key=lambda p: (-probs[p], p))
+    tree = _PrefixTree(lexicon)
+    weight = tree.weight
+    occurring = sorted(weight, key=lambda p: (-weight[p], p))
     excluded = tuple(p for p in occurring if p not in incidence.probs)
     matched = [p for p in occurring if p in incidence.probs]
     coverage = len(matched) / len(occurring)
@@ -262,11 +245,13 @@ def build_feature_table(
         )
     if len(matched) < 2:
         raise DomainError("fewer than 2 phonemes matched the incidence table")
-    mass = sum(probs[p] for p in matched)
+    total = sum(weight.values())
+    probs = {p: weight[p] / total for p in matched}
+    mass = sum(probs.values())
     observed = np.array([probs[p] / mass for p in matched])
-    cost = np.array([physical_cost(p, incidence) for p in matched])
-    seg_info = _PrefixTree(lexicon).segmental_information()
-    word_sets = _word_sets(lexicon)
+    cost = np.array([-math.log(incidence.probs[p]) for p in matched])
+    seg_info = tree.segmental_information()
+    word_sets = tree.word_sets()
     seg = np.array([seg_info[p] for p in matched])
     lex = np.array([cwj_estimate(word_sets[p]) for p in matched])
     return FeatureTable(

@@ -16,7 +16,7 @@ from phonodist.analysis import (
 )
 from phonodist.dirichlet import AlphaScalingLaw, predict_alpha
 from phonodist.entropy import CountVector
-from phonodist.errors import DomainError
+from phonodist.errors import DomainError, InfeasibleError
 from phonodist.io import load_frequency_table
 from phonodist.maxent import MaxEntProblem, solve
 
@@ -254,6 +254,15 @@ class TestBandCoverage:
             CountVector({f"p{i}": int(c) for i, c in enumerate(counts) if c > 0})
         )
         assert 0.0 <= cov <= 1.0
+
+    def test_infeasible_counts_raise_the_fit_note(self):
+        # uniform counts: the CWJ entropy exceeds ln 3, so no concentration fits
+        counts = CountVector({"a": 100, "b": 100, "c": 100})
+        note = fit_language("", counts).note
+        assert note.startswith("alpha infeasible: H=")
+        with pytest.raises(InfeasibleError) as info:
+            band_coverage(counts)
+        assert str(info.value) == note
 
 
 def synthetic_language(name, n, tokens, seed):

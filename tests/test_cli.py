@@ -592,13 +592,13 @@ _EXPORTS = (
     "cwj_estimate", "digamma", "expected_entropy", "fit_language", "guessed_distribution",
     "implied_scaling_law", "lexical_information_gain_exact", "loglog_regression",
     "order_statistic_bands", "order_statistic_moments", "order_statistic_quantile",
-    "pearson_test", "phoneme_probabilities", "physical_cost", "plugin_estimate",
-    "predict_alpha", "reconstruct_from_inventory", "relative_entropy", "solve", "solve_alpha",
+    "pearson_test", "plugin_estimate", "predict_alpha", "reconstruct_from_inventory",
+    "relative_entropy", "solve", "solve_alpha",
 )
 
 
 def test_every_export_resolves_lazily():
-    assert len(_EXPORTS) == 42
+    assert len(_EXPORTS) == 40
     assert sorted(phonodist.__all__) == sorted(_EXPORTS)
     for name in _EXPORTS:
         # drop the cached binding, so that both forms go through the

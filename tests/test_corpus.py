@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from phonodist.corpus import (
     _PrefixTree,
     constraint_expectations,
     lexical_information_gain_exact,
-    phoneme_probabilities,
-    physical_cost,
 )
 from phonodist.entropy import cwj_estimate, plugin_estimate
 from phonodist.errors import CoverageError, DomainError
@@ -43,10 +42,28 @@ def seg_info(lex):
     return _PrefixTree(lex).segmental_information()
 
 
+def full_table(lex):
+    """Feature table of a lexicon whose every phoneme has incidence 0.5."""
+    return build_feature_table(lex, IncidenceTable(dict.fromkeys(lex.inventory, 0.5)))
+
+
 def lex_div(lex):
     """The lex_div column of a feature table that matches every phoneme."""
-    table = build_feature_table(lex, IncidenceTable(dict.fromkeys(lex.inventory, 0.5)))
+    table = full_table(lex)
     return dict(zip(table.phonemes, table.lex_div))
+
+
+def observed(lex):
+    """The observed_prob column of a feature table that matches every phoneme."""
+    table = full_table(lex)
+    return dict(zip(table.phonemes, table.observed_prob.tolist()))
+
+
+def cost(incidence):
+    """The cost column for a one-word lexicon of the incidence table's phonemes."""
+    lex = PhonemizedLexicon.build([(tuple(incidence), 1)])
+    table = build_feature_table(lex, IncidenceTable(incidence))
+    return dict(zip(table.phonemes, table.cost.tolist()))
 
 
 def word_entropy_oracle(entries, prefix):
@@ -105,36 +122,52 @@ class TestLexiconConstruction:
 
 
 class TestPhonemeProbabilities:
+    """The observed_prob column: token-weighted phoneme shares."""
+
     def test_two_tokens(self):
         lex = PhonemizedLexicon.build([(("a", "b"), 1)])
-        assert phoneme_probabilities(lex) == {"a": 0.5, "b": 0.5}
+        assert observed(lex) == {"a": 0.5, "b": 0.5}
 
     def test_token_weighting(self):
         lex = PhonemizedLexicon.build([(("a", "a"), 1), (("b",), 2)])
-        assert phoneme_probabilities(lex) == {"a": 0.5, "b": 0.5}
+        assert observed(lex) == {"a": 0.5, "b": 0.5}
 
     @given(words_strategy)
     @settings(max_examples=40, deadline=None)
     def test_normalization(self, rows):
         lex = PhonemizedLexicon.build(rows)
-        assert sum(phoneme_probabilities(lex).values()) == pytest.approx(1.0)
+        assume(len(lex.inventory) >= 2)
+        assert sum(observed(lex).values()) == pytest.approx(1.0)
+
+    def test_counts_beyond_float_precision(self):
+        # 2**53 + 1 is no float: summed as floats, the shares would be
+        # 1.0 and 2**-53; from the integer counts they are correctly rounded
+        big = 2**53 + 1
+        lex = PhonemizedLexicon.build([(("a",), big), (("b",), 1)])
+        assert observed(lex) == {
+            "a": float(Fraction(big, big + 1)),
+            "b": float(Fraction(1, big + 1)),
+        }
 
 
 class TestPhysicalCost:
+    """The cost column: negative log cross-linguistic incidence."""
+
     def test_universal_phoneme(self):
-        assert physical_cost("a", IncidenceTable({"a": 1.0})) == 0.0
+        assert cost({"a": 1.0, "b": 0.5})["a"] == 0.0
 
     def test_half_incidence(self):
-        assert physical_cost("a", IncidenceTable({"a": 0.5})) == pytest.approx(math.log(2))
+        assert cost({"a": 0.5, "b": 1.0})["a"] == pytest.approx(math.log(2))
 
     def test_rare_phoneme(self):
-        assert physical_cost("a", IncidenceTable({"a": 0.05})) == pytest.approx(
-            2.9957, abs=1e-4
-        )
+        assert cost({"a": 0.05, "b": 1.0})["a"] == pytest.approx(2.9957, abs=1e-4)
 
     def test_missing_signals_exclusion(self):
-        with pytest.raises(DomainError):
-            physical_cost("q", IncidenceTable({"a": 0.5}))
+        lex = PhonemizedLexicon.build([(("a", "b", "q"), 1)])
+        table = build_feature_table(lex, IncidenceTable({"a": 0.5, "b": 0.5}), 0.5)
+        assert table.excluded == ("q",)
+        assert table.phonemes == ("a", "b")
+        assert table.cost.tolist() == [math.log(2), math.log(2)]
 
 
 class TestSegmentalInformation:
@@ -290,16 +323,25 @@ class TestFeatureTable:
     @settings(max_examples=60, deadline=None)
     def test_one_pass_matches_oracles(self, rows, unlisted):
         lex = PhonemizedLexicon.build(rows)
-        incidence = IncidenceTable({p: 0.5 for p in "abcde" if p not in unlisted})
+        incidence = IncidenceTable(
+            {p: (i + 1) / 5 for i, p in enumerate("abcde") if p not in unlisted}
+        )
         matched = [p for p in lex.inventory if p not in unlisted]
         assume(len(matched) >= 2)
         table = build_feature_table(lex, incidence, coverage_floor=0.0)
         assert set(table.excluded) == lex.inventory & unlisted
+        tokens = {p: sum(c * seq.count(p) for seq, c in lex.entries) for p in matched}
+        word_sets = _PrefixTree(lex).word_sets()
         for i, p in enumerate(table.phonemes):
+            assert table.observed_prob[i] == pytest.approx(
+                tokens[p] / sum(tokens.values()), rel=1e-14
+            )
+            assert table.cost[i] == -math.log(incidence.probs[p])
             assert table.seg_info[i] == pytest.approx(
                 seg_info_oracle(lex.entries, p), abs=1e-12
             )
             word_set = [c for seq, c in lex.entries if p in seq]
+            assert word_sets[p] == word_set
             assert table.lex_div[i] == cwj_estimate(np.asarray(word_set, dtype=np.int64))
 
 
