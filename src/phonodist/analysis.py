@@ -11,11 +11,9 @@ imports numpy.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
 from .entropy import CountVector, cwj_estimate, relative_entropy
@@ -37,11 +35,8 @@ __all__ = [
     "pearson_test",
 ]
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     slope: float
     intercept: float
     se_slope: float
@@ -51,8 +46,7 @@ class RegressionFit:
     n_points: int
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     t: float
     df: int
@@ -205,8 +199,7 @@ def band_coverage(counts: CountVector) -> float:
     return int(inside.sum()) / len(observed)
 
 
-@dataclass(frozen=True)
-class LanguageFit:
+class LanguageFit(NamedTuple):
     name: str
     n: int
     entropy_cwj: float
@@ -217,8 +210,7 @@ class LanguageFit:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class CompensationReport:
+class CompensationReport(NamedTuple):
     rows: tuple[LanguageFit, ...]
     regression: RegressionFit | None
     law: AlphaScalingLaw | None
@@ -231,6 +223,13 @@ def _inventory_size(positive: Sequence[int], n: int | None) -> int:
             f"declared inventory size {n} is below the {len(positive)} phonemes observed"
         )
     return len(positive) if n is None else n
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning; logging is loaded only when a run has one to give."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def fit_language(name: str, counts: CountVector, n: int | None = None) -> LanguageFit:
@@ -264,15 +263,15 @@ def compensation_report(
     for name, counts, declared_n in languages:
         row = fit_language(name, counts, declared_n)
         if row.note is not None:
-            log.warning("%s: %s", name, row.note)
+            _warn("%s: %s", name, row.note)
         if solutions is not None and name in solutions:
             guessed = min(solutions[name].entropy / row.h_max, 1.0)
-            row = replace(row, guessed_relative_entropy=guessed)
+            row = row._replace(guessed_relative_entropy=guessed)
         rows.append(row)
     points = [(row.n, row.alpha_hat) for row in rows if row.alpha_hat is not None]
     try:
         regression = loglog_regression(points)
     except DomainError as exc:
-        log.warning("no regression: %s", exc)
+        _warn("no regression: %s", exc)
         return CompensationReport(tuple(rows), None, None)
     return CompensationReport(tuple(rows), regression, implied_scaling_law(regression))

@@ -9,12 +9,15 @@ Exit codes: 0 success, 2 usage, 3 ingest/domain/coverage, 4 numerical/infeasibil
 
 Only features and maxent import the corpus and maxent modules, and numpy
 with them; reconstruct loads numpy and scipy.special through dirichlet.
+The records are named tuples, so no module here imports dataclasses, and
+logging is imported only to emit a warning (a clamped relative entropy,
+or a report language with no fit or no regression); reconstruct loads
+both through scipy.special.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -242,8 +245,8 @@ def cmd_regress(args) -> None:
     fit = analysis.loglog_regression(points)
     law = analysis.implied_scaling_law(fit)
     payload = {
-        "fit": dataclasses.asdict(fit),
-        "law": dataclasses.asdict(law),
+        "fit": fit._asdict(),
+        "law": law._asdict(),
         "config": {},
     }
     _emit_json(payload, args.output)
@@ -256,14 +259,14 @@ def cmd_report(args) -> None:
     report = analysis.compensation_report(languages)
     renamed = {"name": "language", "entropy_cwj": "H_cwj", "h_max": "H_max"}
     rows = [
-        {renamed.get(key, key): value for key, value in dataclasses.asdict(row).items()}
+        {renamed.get(key, key): value for key, value in row._asdict().items()}
         for row in report.rows
     ]
     fitted = report.regression is not None
     payload = {
         "languages": rows,
-        "regression": dataclasses.asdict(report.regression) if fitted else None,
-        "law": dataclasses.asdict(report.law) if fitted else None,
+        "regression": report.regression._asdict() if fitted else None,
+        "law": report.law._asdict() if fitted else None,
         "config": {},
     }
     _emit_json(payload, args.output)

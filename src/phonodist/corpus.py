@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ END_MARKER = "#"
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PhonemizedLexicon:
+class PhonemizedLexicon(NamedTuple):
     """Token-weighted word list over a phoneme inventory.
 
     Entries are merged (one row per distinct phoneme sequence, counts
@@ -123,8 +121,7 @@ class _PrefixTree:
         return sets
 
 
-@dataclass(frozen=True)
-class LexicalGains:
+class LexicalGains(NamedTuple):
     """Exact lexical information gains over all prefix-tree transitions.
 
     ``gains`` is keyed by (symbol, prefix) and includes end-marker
@@ -182,21 +179,27 @@ def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
     )
 
 
-@dataclass(frozen=True)
-class IncidenceTable:
-    """Cross-linguistic incidence probability per phoneme, each in (0, 1]."""
-
+class _IncidenceTable(NamedTuple):
     probs: Mapping[str, float]
 
-    def __post_init__(self):
-        for p, v in self.probs.items():
+
+class IncidenceTable(_IncidenceTable):
+    """Cross-linguistic incidence probability per phoneme, each in (0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, probs: Mapping[str, float]):
+        for p, v in probs.items():
             if not (0.0 < v <= 1.0):
                 raise DomainError(f"incidence probability for {p!r} must lie in (0, 1], got {v}")
-        object.__setattr__(self, "probs", dict(self.probs))
+        return super().__new__(cls, dict(probs))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class FeatureTable:
+class FeatureTable(NamedTuple):
     """Per-phoneme features and renormalized observed probabilities."""
 
     phonemes: tuple[str, ...]
@@ -211,8 +214,7 @@ class FeatureTable:
         return np.column_stack([self.cost, self.seg_info, self.lex_div])
 
 
-@dataclass(frozen=True)
-class ConstraintVector:
+class ConstraintVector(NamedTuple):
     c1: float
     c2: float
     c3: float

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InfeasibleError, NumericalError
 
@@ -51,16 +50,24 @@ def _check_concentration(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class DirichletSpec:
-    """Symmetric Dirichlet over the (n-1)-simplex with concentration alpha."""
-
+class _DirichletSpec(NamedTuple):
     n: int
     alpha: float
 
-    def __post_init__(self):
-        _check_inventory(self.n)
-        _check_concentration(self.alpha)
+
+class DirichletSpec(_DirichletSpec):
+    """Symmetric Dirichlet over the (n-1)-simplex with concentration alpha."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, alpha: float):
+        _check_inventory(n)
+        _check_concentration(alpha)
+        return super().__new__(cls, n, alpha)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
     @property
     def beta_a(self) -> float:
@@ -71,24 +78,32 @@ class DirichletSpec:
         return (self.n - 1) * self.alpha
 
 
-@dataclass(frozen=True)
-class AlphaScalingLaw:
-    """Power law alpha(n) = coeff_a * n**exponent_b with optional standard errors."""
-
+class _AlphaScalingLaw(NamedTuple):
     coeff_a: float = 19.47
     exponent_b: float = -0.95
     se_a: float | None = None
     se_b: float | None = None
 
-    def __post_init__(self):
-        if not (math.isfinite(self.coeff_a) and self.coeff_a > 0):
-            raise DomainError(f"coeff_a must be finite and > 0, got {self.coeff_a}")
-        if not math.isfinite(self.exponent_b):
-            raise DomainError(f"exponent_b must be finite, got {self.exponent_b}")
+
+class AlphaScalingLaw(_AlphaScalingLaw):
+    """Power law alpha(n) = coeff_a * n**exponent_b with optional standard errors."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        law = super().__new__(cls, *args, **kwargs)
+        if not (math.isfinite(law.coeff_a) and law.coeff_a > 0):
+            raise DomainError(f"coeff_a must be finite and > 0, got {law.coeff_a}")
+        if not math.isfinite(law.exponent_b):
+            raise DomainError(f"exponent_b must be finite, got {law.exponent_b}")
+        return law
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class OrderStatSummary:
+class OrderStatSummary(NamedTuple):
     """Per-rank moments (and optionally confidence bands) of the fitted curve.
 
     Arrays are indexed by rank - 1; rank 1 is the most frequent phoneme.
@@ -420,4 +435,4 @@ def reconstruct_from_inventory(
     spec = DirichletSpec(n, predict_alpha(n, law))
     summary = order_statistic_moments(spec)
     ci_low, ci_high = order_statistic_bands(spec, level)
-    return replace(summary, ci_low=ci_low, ci_high=ci_high, level=level)
+    return summary._replace(ci_low=ci_low, ci_high=ci_high, level=level)

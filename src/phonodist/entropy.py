@@ -10,12 +10,10 @@ arguments may still be numpy arrays.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .dirichlet import digamma
 from .errors import DomainError
@@ -27,18 +25,19 @@ __all__ = [
     "relative_entropy",
 ]
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class CountVector:
-    """Phoneme labels with non-negative integer counts."""
-
+class _CountVector(NamedTuple):
     entries: Mapping[str, int]
 
-    def __post_init__(self):
+
+class CountVector(_CountVector):
+    """Phoneme labels with non-negative integer counts."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: Mapping[str, int]):
         positive = 0
-        for label, c in self.entries.items():
+        for label, c in entries.items():
             if isinstance(c, bool) or not isinstance(c, numbers.Integral):
                 raise DomainError(f"count for {label!r} must be an integer, got {c!r}")
             if c < 0:
@@ -47,7 +46,11 @@ class CountVector:
                 positive += 1
         if positive < 2:
             raise DomainError("need at least 2 labels with positive counts")
-        object.__setattr__(self, "entries", dict(self.entries))
+        return super().__new__(cls, dict(entries))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
     @classmethod
     def from_counts(cls, counts: Iterable[int]) -> "CountVector":
@@ -91,7 +94,7 @@ def cwj_estimate(counts: Iterable[int]) -> float:
 
     f1 = freq.get(1, 0)
     f2 = freq.get(2, 0)
-    if f1 <= 1:
+    if f1 == 0:
         return estimate
 
     if f2 > 0:
@@ -102,6 +105,7 @@ def cwj_estimate(counts: Iterable[int]) -> float:
     # unseen-species term, written as its convergent tail series
     #   (f1/N) * sum_{j>=1} (1-A)^j / (N-1+j)
     # which avoids the cancellation in the (1-A)^(1-N)*(-ln A - ...) form.
+    # f1 = 1 with f2 = 0 gives A = 1, and the series is 0.
     ratio = 1.0 - a_cov
     term = 0.0
     power = 1.0
@@ -125,7 +129,9 @@ def relative_entropy(value: float, n: int) -> float:
         raise DomainError(f"inventory size must be an integer >= 2, got {n!r}")
     ratio = value / math.log(n)
     if ratio > 1.0:
-        log.warning(
+        import logging  # loaded only when a value is clamped
+
+        logging.getLogger(__name__).warning(
             "relative entropy %.6g exceeds 1 for n=%d; clamping to 1", ratio, n
         )
         return 1.0

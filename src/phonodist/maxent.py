@@ -14,7 +14,7 @@ targets outside the convex hull by a separating direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,24 +32,27 @@ _HULL_TOL = 1e-12
 _CERT_TOL = 1e-9  # scale-relative slack of the feasibility certificates
 
 
-@dataclass(frozen=True)
-class MaxEntProblem:
-    """Support labels, an (m, K) feature matrix, and K target expectations."""
-
+class _MaxEntProblem(NamedTuple):
     support: tuple[str, ...]
     features: np.ndarray
     targets: np.ndarray
 
-    def __post_init__(self):
-        feats = np.atleast_2d(np.asarray(self.features, dtype=float))
-        targets = np.atleast_1d(np.asarray(self.targets, dtype=float))
-        if len(self.support) < 2:
+
+class MaxEntProblem(_MaxEntProblem):
+    """Support labels, an (m, K) feature matrix, and K target expectations."""
+
+    __slots__ = ()
+
+    def __new__(cls, support: tuple[str, ...], features: np.ndarray, targets: np.ndarray):
+        feats = np.atleast_2d(np.asarray(features, dtype=float))
+        targets = np.atleast_1d(np.asarray(targets, dtype=float))
+        if len(support) < 2:
             raise DomainError("support must contain at least 2 labels")
         if feats.size == 0:
-            feats = feats.reshape(len(self.support), 0)
-        if feats.shape[0] != len(self.support):
+            feats = feats.reshape(len(support), 0)
+        if feats.shape[0] != len(support):
             raise DomainError(
-                f"feature matrix has {feats.shape[0]} rows for {len(self.support)} labels"
+                f"feature matrix has {feats.shape[0]} rows for {len(support)} labels"
             )
         if feats.shape[1] != targets.size:
             raise DomainError(
@@ -57,16 +60,18 @@ class MaxEntProblem:
             )
         if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(targets))):
             raise DomainError("features and targets must be finite")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targets)
+        return super().__new__(cls, support, feats, targets)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
     @property
     def n_constraints(self) -> int:
         return int(self.targets.size)
 
 
-@dataclass(frozen=True)
-class MaxEntSolution:
+class MaxEntSolution(NamedTuple):
     lambda0: float
     lambdas: np.ndarray
     probs: np.ndarray

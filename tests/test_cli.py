@@ -496,7 +496,7 @@ from pathlib import Path
 
 def loaded():
     return {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
-            for top in ("numpy", "scipy")}
+            for top in ("numpy", "scipy", "dataclasses", "logging")}
 
 
 import phonodist
@@ -533,7 +533,7 @@ _SCALAR = ("predict-alpha", "estimate-entropy", "regress", "fit-alpha", "report"
 def _probe_imports(tmp_path, *steps):
     """Import phonodist, then phonodist.cli, then run ``steps`` in one fresh
     interpreter, so that nothing pytest has already imported counts; return
-    the numpy and scipy modules loaded after each."""
+    the numpy, scipy, dataclasses and logging modules loaded after each."""
     features = tmp_path / "features.tsv"  # maxent's input, written here
     assert cli.main(["features", data_path("toy_a.lex"), data_path("toy_incidence.tsv"),
                      "-o", str(features)]) == 0
@@ -554,7 +554,17 @@ def _probe_imports(tmp_path, *steps):
 def test_scalar_subcommands_never_import_numpy(tmp_path):
     loaded = _probe_imports(tmp_path, *_SCALAR)
     for step in ("package", "cli", *_SCALAR):
-        assert loaded[step] == {"numpy": [], "scipy": []}, step
+        assert loaded[step]["numpy"] == loaded[step]["scipy"] == [], step
+
+
+def test_only_reconstruct_imports_dataclasses_or_logging(tmp_path):
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent", "reconstruct")
+    for step in ("package", "cli", *_SCALAR, "features", "maxent"):
+        assert loaded[step]["dataclasses"] == loaded[step]["logging"] == [], step
+    # scipy.special brings both
+    assert "scipy.special" in loaded["reconstruct"]["scipy"]
+    assert loaded["reconstruct"]["dataclasses"] == ["dataclasses"]
+    assert "logging" in loaded["reconstruct"]["logging"]
 
 
 @pytest.mark.parametrize("step", ["features", "maxent", "reconstruct"])

@@ -24,12 +24,14 @@ def cwj_reference(counts):
     )
     f1 = sum(1 for c in counts if c == 1)
     f2 = sum(1 for c in counts if c == 2)
-    if f1 <= 1:
+    if f1 == 0:
         return observed
     if f2 > 0:
         a_cov = 2.0 * f2 / ((total - 1) * f1 + 2.0 * f2)
     else:
         a_cov = 2.0 / ((total - 1) * (f1 - 1) + 2.0)
+    if a_cov == 1.0:  # f1 = 1, f2 = 0: nothing unseen
+        return observed
     bracket = -math.log(a_cov) - sum(
         (1.0 / r) * (1.0 - a_cov) ** r for r in range(1, total)
     )
@@ -88,7 +90,8 @@ class TestCwj:
 
     @pytest.mark.parametrize(
         "counts",
-        [[2, 1, 1], [1, 1, 1, 1], [5, 3, 1, 1, 1], [10, 1, 1], [4, 2, 2, 1, 1, 1]],
+        [[2, 1, 1], [1, 1, 1, 1], [5, 3, 1, 1, 1], [10, 1, 1], [4, 2, 2, 1, 1, 1],
+         [3, 2, 1], [4, 2, 2, 1], [5, 3, 1]],
     )
     def test_matches_reference_formula(self, counts):
         assert cwj_estimate(np.array(counts)) == pytest.approx(
@@ -102,6 +105,11 @@ class TestCwj:
             c / total * sum(1.0 / k for k in range(c, total)) for c in counts
         )
         assert cwj_estimate(counts) == pytest.approx(observed, rel=1e-12)
+
+    def test_one_singleton_with_doubletons_adds_the_unseen_term(self):
+        # Chao, Wang & Jost (2013): A < 1 whenever f1 >= 1 and f2 > 0
+        observed = sum(c / 6 * sum(1.0 / k for k in range(c, 6)) for c in (3, 2, 1))
+        assert cwj_estimate([3, 2, 1]) > observed + 0.01
 
     def test_single_category_is_zero(self):
         assert cwj_estimate(np.array([17])) == 0.0
