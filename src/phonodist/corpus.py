@@ -13,7 +13,8 @@ Building the prefix tree is the one pass over a lexicon's entries:
 ``build_feature_table`` builds it once and reads every column off it,
 the observed probabilities from its per-phoneme token counts, all
 segmental information from a single sweep of its edges, and every
-phoneme's word set from its end-marker edges.
+phoneme's word set from its end-marker edges.  The lexical information
+gains are read off the same tree, in one bottom-up sweep of its edges.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .entropy import cwj_estimate, plugin_estimate
+from .entropy import cwj_estimate
 from .errors import CoverageError, DomainError
 
 __all__ = [
@@ -53,7 +54,6 @@ class PhonemizedLexicon(NamedTuple):
     """
 
     entries: tuple[tuple[Word, int], ...]
-    inventory: frozenset[str]
 
     @classmethod
     def build(cls, entries: Iterable[tuple[Sequence[str], int]]) -> "PhonemizedLexicon":
@@ -69,13 +69,7 @@ class PhonemizedLexicon(NamedTuple):
             merged[word] = merged.get(word, 0) + int(count)
         if not merged:
             raise DomainError("lexicon is empty")
-        inventory = frozenset(p for word in merged for p in word)
-        ordered = tuple(sorted(merged.items()))
-        return cls(entries=ordered, inventory=inventory)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(c for _, c in self.entries)
+        return cls(entries=tuple(sorted(merged.items())))
 
 
 class _PrefixTree:
@@ -139,30 +133,30 @@ class LexicalGains(NamedTuple):
 def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
     """Uncertainty reduction H(W|o) - H(W|o+p) for every transition.
 
-    The lexicon is homophone-free by construction, so each augmented word
-    is a distinct leaf and the gains weighted by transition probability
-    sum exactly to the plug-in lexical entropy.
+    H(W|o), the plug-in entropy of the words that begin with o, follows
+    from the chain rule H(W|o) = sum_s (w/W)(ln(W/w) + H(W|o+s)) over o's
+    children, with no cancellation; a word end (leaf) has entropy 0.  A
+    node enters the tree after its parent, so one sweep of the edges in
+    reverse reaches children first.  The lexicon is homophone-free, so the
+    gains weighted by transition probability sum to the lexical entropy.
     """
     tree = _PrefixTree(lexicon)
-    word_counts: dict[Word, list[int]] = defaultdict(list)
-    for seq, count in lexicon.entries:
-        aug = seq + (END_MARKER,)
-        for i in range(len(aug) + 1):
-            word_counts[aug[:i]].append(count)
+    word_entropy: dict[Word, float] = {}
+    for prefix, children in reversed(tree.edge.items()):
+        out = sum(children.values())
+        word_entropy[prefix] = sum(
+            (w / out) * (math.log(out / w) + word_entropy.get(prefix + (sym,), 0.0))
+            for sym, w in children.items()
+        )
 
-    def word_entropy(prefix: Word) -> float:
-        """Plug-in entropy over words consistent with the prefix."""
-        return plugin_estimate(word_counts[prefix])
-
-    total_tokens = lexicon.total_tokens
+    total_tokens = sum(tree.edge[()].values())
     gains: dict[tuple[str, Word], float] = {}
     weighted_total = 0.0
     phoneme_weight: dict[str, float] = defaultdict(float)
     phoneme_sum: dict[str, float] = defaultdict(float)
     for prefix, children in tree.edge.items():
-        h_here = word_entropy(prefix)
         for sym, w in children.items():
-            gain = h_here - word_entropy(prefix + (sym,))
+            gain = word_entropy[prefix] - word_entropy.get(prefix + (sym,), 0.0)
             gains[(sym, prefix)] = gain
             weighted_total += (w / total_tokens) * gain
             if sym != END_MARKER:
@@ -174,7 +168,7 @@ def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
     return LexicalGains(
         gains=gains,
         per_phoneme=per_phoneme,
-        lexical_entropy=word_entropy(()),
+        lexical_entropy=word_entropy[()],
         weighted_total=weighted_total,
     )
 

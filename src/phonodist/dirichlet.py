@@ -153,9 +153,14 @@ def digamma(x) -> float:
     return math.fsum(parts + [-1.0 / (x + i) for i in range(10)])
 
 
+def _mean_entropy(n: int, alpha: float) -> float:
+    """psi(n*alpha + 1) - psi(alpha + 1), the expected entropy at (n, alpha)."""
+    return digamma(alpha * n + 1) - digamma(alpha + 1)
+
+
 def expected_entropy(spec: DirichletSpec) -> float:
     """Expected Shannon entropy (nats) of a distribution drawn from ``spec``."""
-    return digamma(spec.alpha * spec.n + 1) - digamma(spec.alpha + 1)
+    return _mean_entropy(spec.n, spec.alpha)
 
 
 def solve_alpha(entropy_hat: float, n: int) -> float:
@@ -174,8 +179,7 @@ def solve_alpha(entropy_hat: float, n: int) -> float:
         )
 
     def gap(log_alpha: float) -> float:
-        a = math.exp(log_alpha)
-        return digamma(a * n + 1) - digamma(a + 1) - entropy_hat
+        return _mean_entropy(n, math.exp(log_alpha)) - entropy_hat
 
     lo, hi = math.log(1e-8), math.log(1e8)
     # widen if the target sits in the extreme tails of the default bracket
@@ -190,7 +194,7 @@ def solve_alpha(entropy_hat: float, n: int) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
     alpha = math.exp(0.5 * (lo + hi))
-    if abs(expected_entropy(DirichletSpec(n, alpha)) - entropy_hat) > 1e-10:
+    if abs(_mean_entropy(n, alpha) - entropy_hat) > 1e-10:
         raise NumericalError("concentration root did not reach tolerance")
     return alpha
 

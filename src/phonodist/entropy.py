@@ -52,10 +52,6 @@ class CountVector(_CountVector):
     def _make(cls, fields):  # _replace builds through _make: check there too
         return cls(*fields)
 
-    @classmethod
-    def from_counts(cls, counts: Iterable[int]) -> "CountVector":
-        return cls({f"c{i}": int(c) for i, c in enumerate(counts)})
-
     @property
     def total(self) -> int:
         return sum(self.entries.values())

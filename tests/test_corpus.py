@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phonodist.corpus import (
@@ -42,9 +42,14 @@ def seg_info(lex):
     return _PrefixTree(lex).segmental_information()
 
 
+def inventory(lex):
+    """Every phoneme that occurs in the lexicon's entries."""
+    return {p for seq, _ in lex.entries for p in seq}
+
+
 def full_table(lex):
     """Feature table of a lexicon whose every phoneme has incidence 0.5."""
-    return build_feature_table(lex, IncidenceTable(dict.fromkeys(lex.inventory, 0.5)))
+    return build_feature_table(lex, IncidenceTable(dict.fromkeys(inventory(lex), 0.5)))
 
 
 def lex_div(lex):
@@ -136,7 +141,7 @@ class TestPhonemeProbabilities:
     @settings(max_examples=40, deadline=None)
     def test_normalization(self, rows):
         lex = PhonemizedLexicon.build(rows)
-        assume(len(lex.inventory) >= 2)
+        assume(len(inventory(lex)) >= 2)
         assert sum(observed(lex).values()) == pytest.approx(1.0)
 
     def test_counts_beyond_float_precision(self):
@@ -183,8 +188,8 @@ class TestSegmentalInformation:
     def test_fixture_against_brute_force(self):
         lex = fixture_lexicon()
         values = seg_info(lex)
-        assert sorted(values) == sorted(lex.inventory)
-        for p in sorted(lex.inventory):
+        assert sorted(values) == sorted(inventory(lex))
+        for p in sorted(inventory(lex)):
             assert values[p] == pytest.approx(seg_info_oracle(FIXTURE, p), abs=1e-12)
 
     def test_absent_phoneme(self):
@@ -210,25 +215,26 @@ class TestLexicalConditionalDiversity:
     def test_compositional_oracle(self):
         lex = fixture_lexicon()
         values = lex_div(lex)
-        for p in sorted(lex.inventory):
+        for p in sorted(inventory(lex)):
             sub = np.array([c for seq, c in FIXTURE if p in seq], dtype=np.int64)
             assert values[p] == pytest.approx(cwj_estimate(sub), abs=1e-12)
 
     def test_absent_phoneme(self):
         # an incidence entry for a phoneme that never occurs makes no row
         lex = fixture_lexicon()
-        incidence = IncidenceTable(dict.fromkeys([*lex.inventory, "z"], 0.5))
+        incidence = IncidenceTable(dict.fromkeys([*inventory(lex), "z"], 0.5))
         table = build_feature_table(lex, incidence)
-        assert sorted(table.phonemes) == sorted(lex.inventory)
-        assert len(table.lex_div) == len(lex.inventory)
+        assert sorted(table.phonemes) == sorted(inventory(lex))
+        assert len(table.lex_div) == len(inventory(lex))
 
 
 class TestLexicalInformationGain:
     def test_single_word(self):
-        lex = PhonemizedLexicon.build([(("a", "b"), 4)])
-        result = lexical_information_gain_exact(lex)
-        assert result.lexical_entropy == 0.0
-        assert all(g == 0.0 for g in result.gains.values())
+        for count in (3, 4):
+            lex = PhonemizedLexicon.build([(("a", "b"), count)])
+            result = lexical_information_gain_exact(lex)
+            assert result.lexical_entropy == 0.0
+            assert all(g == 0.0 for g in result.gains.values())
 
     def test_disambiguating_phoneme(self):
         lex = PhonemizedLexicon.build([(("a", "b"), 1), (("a", "c"), 1)])
@@ -236,14 +242,20 @@ class TestLexicalInformationGain:
         assert result.gains[("b", ("a",))] == pytest.approx(math.log(2))
         assert result.weighted_total == pytest.approx(result.lexical_entropy, abs=1e-12)
 
-    def test_fixture_against_brute_force(self):
-        lex = fixture_lexicon()
+    @given(words_strategy)
+    @example(FIXTURE)
+    @settings(max_examples=60, deadline=None)
+    def test_fixture_against_brute_force(self, rows):
+        lex = PhonemizedLexicon.build(rows)
         result = lexical_information_gain_exact(lex)
         for (sym, prefix), gain in result.gains.items():
-            oracle = word_entropy_oracle(FIXTURE, prefix) - word_entropy_oracle(
-                FIXTURE, prefix + (sym,)
+            oracle = word_entropy_oracle(lex.entries, prefix) - word_entropy_oracle(
+                lex.entries, prefix + (sym,)
             )
             assert gain == pytest.approx(oracle, abs=1e-12)
+        assert result.lexical_entropy == pytest.approx(
+            word_entropy_oracle(lex.entries, ()), abs=1e-12
+        )
 
     @given(words_strategy)
     @settings(max_examples=60, deadline=None)
@@ -326,10 +338,10 @@ class TestFeatureTable:
         incidence = IncidenceTable(
             {p: (i + 1) / 5 for i, p in enumerate("abcde") if p not in unlisted}
         )
-        matched = [p for p in lex.inventory if p not in unlisted]
+        matched = [p for p in inventory(lex) if p not in unlisted]
         assume(len(matched) >= 2)
         table = build_feature_table(lex, incidence, coverage_floor=0.0)
-        assert set(table.excluded) == lex.inventory & unlisted
+        assert set(table.excluded) == inventory(lex) & unlisted
         tokens = {p: sum(c * seq.count(p) for seq, c in lex.entries) for p in matched}
         word_sets = _PrefixTree(lex).word_sets()
         for i, p in enumerate(table.phonemes):
@@ -343,6 +355,30 @@ class TestFeatureTable:
             word_set = [c for seq, c in lex.entries if p in seq]
             assert word_sets[p] == word_set
             assert table.lex_div[i] == cwj_estimate(np.asarray(word_set, dtype=np.int64))
+
+
+class _CountedEntries(tuple):
+    """Lexicon entries that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda lex: build_feature_table(lex, toy_incidence()),
+        lexical_information_gain_exact,
+    ],
+    ids=["build_feature_table", "lexical_information_gain_exact"],
+)
+def test_one_pass_over_the_entries(reader):
+    entries = _CountedEntries(fixture_lexicon().entries)
+    reader(PhonemizedLexicon(entries))
+    assert entries.passes == 1
 
 
 class TestConstraintExpectations:

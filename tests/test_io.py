@@ -169,7 +169,7 @@ def test_counts_up_to_int64_are_accepted(tmp_path):
     counts = io.load_frequency_table(_write(tmp_path, f"a\t{INT64_MAX - 1}\nb\t1\n"))
     assert counts.total == INT64_MAX
     lexicon = io.load_lexicon(_write(tmp_path, f"{INT64_MAX - 1}\ta\n1\tb\n"))
-    assert lexicon.total_tokens == INT64_MAX
+    assert sum(c for _, c in lexicon.entries) == INT64_MAX
 
 
 def test_labels_are_nfc_normalized(tmp_path):

@@ -29,7 +29,7 @@ FIELDS = {
         "guessed_relative_entropy", "note",
     ),
     analysis.CompensationReport: ("rows", "regression", "law"),
-    corpus.PhonemizedLexicon: ("entries", "inventory"),
+    corpus.PhonemizedLexicon: ("entries",),
     corpus.LexicalGains: ("gains", "per_phoneme", "lexical_entropy", "weighted_total"),
     corpus.IncidenceTable: ("probs",),
     corpus.FeatureTable: (
