@@ -7,8 +7,9 @@ output embeds the configuration it was produced with.
 
 Exit codes: 0 success, 2 usage, 3 ingest/domain/coverage, 4 numerical/infeasibility.
 
-Only features and maxent import the corpus and maxent modules, and numpy
-with them; reconstruct loads numpy and scipy.special through dirichlet.
+Only features and maxent import the corpus module, which loads no numpy;
+maxent imports the maxent module and numpy with it, and reconstruct loads
+numpy and scipy.special, but not scipy.linalg, through dirichlet.
 The records are named tuples, so no module here imports dataclasses, and
 logging is imported only to emit a warning (a clamped relative entropy,
 or a report language with no fit or no regression); reconstruct loads
@@ -199,11 +200,9 @@ def cmd_features(args) -> None:
         f"# config\tcoverage_floor={_fmt(args.coverage_floor)}",
         "phoneme\tobserved_prob\tcost\tseg_info\tlex_div",
     ]
-    for i, p in enumerate(table.phonemes):
-        lines.append(
-            f"{p}\t{_fmt(float(table.observed_prob[i]))}\t{_fmt(float(table.cost[i]))}"
-            f"\t{_fmt(float(table.seg_info[i]))}\t{_fmt(float(table.lex_div[i]))}"
-        )
+    columns = (table.observed_prob, table.cost, table.seg_info, table.lex_div)
+    for p, *values in zip(table.phonemes, *columns):
+        lines.append("\t".join([p, *map(_fmt, values)]))
     lines.append(
         f"# c1={_fmt(constraints.c1)}\tc2={_fmt(constraints.c2)}"
         f"\tc3={_fmt(constraints.c3)}\tcoverage={_fmt(table.coverage)}"

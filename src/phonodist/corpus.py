@@ -15,19 +15,25 @@ the observed probabilities from its per-phoneme token counts, all
 segmental information from a single sweep of its edges, and every
 phoneme's word set from its end-marker edges.  The lexical information
 gains are read off the same tree, in one bottom-up sweep of its edges.
+
+The feature columns are ``array('d')`` and the constraint targets are
+summed exactly, so building a feature table loads no numpy; only the two
+methods that hand arrays to the maxent solver import it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from collections import defaultdict
-from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .entropy import cwj_estimate
 from .errors import CoverageError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "END_MARKER",
@@ -194,17 +200,20 @@ class IncidenceTable(_IncidenceTable):
 
 
 class FeatureTable(NamedTuple):
-    """Per-phoneme features and renormalized observed probabilities."""
+    """Per-phoneme features and renormalized observed probabilities, each
+    column an ``array('d')`` in phoneme order."""
 
     phonemes: tuple[str, ...]
-    observed_prob: np.ndarray
-    cost: np.ndarray
-    seg_info: np.ndarray
-    lex_div: np.ndarray
+    observed_prob: array
+    cost: array
+    seg_info: array
+    lex_div: array
     excluded: tuple[str, ...]
     coverage: float
 
     def feature_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.column_stack([self.cost, self.seg_info, self.lex_div])
 
 
@@ -214,6 +223,8 @@ class ConstraintVector(NamedTuple):
     c3: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.c1, self.c2, self.c3])
 
 
@@ -244,12 +255,12 @@ def build_feature_table(
     total = sum(weight.values())
     probs = {p: weight[p] / total for p in matched}
     mass = sum(probs.values())
-    observed = np.array([probs[p] / mass for p in matched])
-    cost = np.array([-math.log(incidence.probs[p]) for p in matched])
+    observed = array("d", [probs[p] / mass for p in matched])
+    cost = array("d", [-math.log(incidence.probs[p]) for p in matched])
     seg_info = tree.segmental_information()
     word_sets = tree.word_sets()
-    seg = np.array([seg_info[p] for p in matched])
-    lex = np.array([cwj_estimate(word_sets[p]) for p in matched])
+    seg = array("d", [seg_info[p] for p in matched])
+    lex = array("d", [cwj_estimate(word_sets[p]) for p in matched])
     return FeatureTable(
         phonemes=tuple(matched),
         observed_prob=observed,
@@ -261,11 +272,20 @@ def build_feature_table(
     )
 
 
+def _dot(xs: Iterable[float], ys: Iterable[float]) -> float:
+    """Sum of x*y, correctly rounded.  A float is an integer over a power of
+    two, so the products add up exactly over their largest denominator."""
+    terms = [(float(x).as_integer_ratio(), float(y).as_integer_ratio()) for x, y in zip(xs, ys)]
+    den = max((b * d for (_, b), (_, d) in terms), default=1)
+    return sum(a * c * (den // (b * d)) for (a, b), (c, d) in terms) / den
+
+
 def constraint_expectations(table: FeatureTable) -> ConstraintVector:
-    """Observed expectations of the three features (targets for maxent)."""
+    """Observed expectations of the three features (targets for maxent),
+    each the correctly rounded dot product with the observed probabilities."""
     p = table.observed_prob
     return ConstraintVector(
-        c1=float(p @ table.cost),
-        c2=float(p @ table.seg_info),
-        c3=float(p @ table.lex_div),
+        c1=_dot(p, table.cost),
+        c2=_dot(p, table.seg_info),
+        c3=_dot(p, table.lex_div),
     )

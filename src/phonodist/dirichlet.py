@@ -7,7 +7,8 @@ order-statistic means of that marginal (rank 1 = largest order statistic),
 and the concentration itself follows a power law in the inventory size.
 All entropies are in nats.  numpy and scipy.special are imported inside
 the order-statistic functions, so that importing this module, or fitting
-and predicting a concentration, loads neither.
+and predicting a concentration, loads neither.  The Gauss-Legendre nodes
+come from numpy, so reconstructing a curve loads no scipy.linalg.
 """
 
 from __future__ import annotations
@@ -223,9 +224,9 @@ _MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
 @functools.lru_cache(maxsize=1)
 def _gauss_legendre():
     """Gauss-Legendre nodes on [0, 1] and their weights."""
-    from scipy import special
+    from numpy.polynomial.legendre import leggauss
 
-    x, w = special.roots_legendre(_NODES)
+    x, w = leggauss(_NODES)
     return (x + 1.0) / 2.0, w / 2.0
 
 

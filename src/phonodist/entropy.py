@@ -61,10 +61,20 @@ class CountVector(_CountVector):
 
 
 def plugin_estimate(counts: Iterable[float]) -> float:
-    """Plug-in Shannon entropy of raw positive counts (no bias correction)."""
-    positive = [float(c) for c in counts if c > 0]
-    total = math.fsum(positive)
-    return -math.fsum(c / total * math.log(c / total) for c in positive)
+    """Plug-in Shannon entropy of raw positive counts (no bias correction).
+
+    Integer counts keep an exact total.  A share above one half takes its
+    log as log1p(-(T - c)/T), where T - c is exact, so a dominant share
+    near 1 keeps its -(1 - p) ln(1 - p) term.
+    """
+    positive = [c for c in counts if c > 0]
+    exact = all(isinstance(c, numbers.Integral) for c in positive)
+    positive = [int(c) if exact else float(c) for c in positive]
+    total = sum(positive) if exact else math.fsum(positive)
+    return -math.fsum(
+        c / total * (math.log1p((c - total) / total) if 2 * c > total else math.log(c / total))
+        for c in positive
+    )
 
 
 def cwj_estimate(counts: Iterable[int]) -> float:

@@ -6,15 +6,15 @@ NFC on ingest.  Counts are non-negative integers no larger than 2**63-1,
 and so are the token totals of frequency tables and lexicons, so that no
 int64 sum downstream can wrap.  A malformed row raises IngestError naming
 ``path:lineno``; a file that cannot be read or holds no data row raises
-it naming ``path``.  The corpus types, and numpy with them, are imported
-by the three readers that return them, so reading a frequency table or
-fit rows loads no numpy.
+it naming ``path``.  The corpus types are imported by the three readers
+that return them, and none of the readers loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 import unicodedata
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Literal
 
@@ -162,8 +162,6 @@ _FEATURE_HEADER = ("phoneme", "observed_prob", "cost", "seg_info", "lex_div")
 
 def load_feature_table(path: str | Path) -> FeatureTable:
     """Read a feature TSV as written by `phonodist features`."""
-    import numpy as np
-
     from .corpus import FeatureTable
 
     phonemes, rows = [], []
@@ -181,16 +179,16 @@ def load_feature_table(path: str | Path) -> FeatureTable:
         rows.append(values)
     if len(phonemes) < 2:
         raise IngestError(f"{path}: need at least 2 phoneme rows")
-    data = np.array(rows)
-    probs = data[:, 0]
-    if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-6:
+    probs, cost, seg_info, lex_div = (array("d", column) for column in zip(*rows))
+    total = math.fsum(probs)
+    if min(probs) <= 0 or abs(total - 1.0) > 1e-6:
         raise IngestError(f"{path}: observed_prob column must be positive and sum to 1")
     return FeatureTable(
         phonemes=tuple(phonemes),
-        observed_prob=probs / probs.sum(),
-        cost=data[:, 1],
-        seg_info=data[:, 2],
-        lex_div=data[:, 3],
+        observed_prob=array("d", [p / total for p in probs]),
+        cost=cost,
+        seg_info=seg_info,
+        lex_div=lex_div,
         excluded=(),
         coverage=1.0,
     )

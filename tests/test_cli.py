@@ -567,11 +567,17 @@ def test_only_reconstruct_imports_dataclasses_or_logging(tmp_path):
     assert "logging" in loaded["reconstruct"]["logging"]
 
 
-@pytest.mark.parametrize("step", ["features", "maxent", "reconstruct"])
+@pytest.mark.parametrize("step", ["maxent", "reconstruct"])
 def test_array_subcommands_import_numpy(tmp_path, step):
     loaded = _probe_imports(tmp_path, *_SCALAR, step)
     assert loaded[_SCALAR[-1]]["numpy"] == []
     assert "numpy" in loaded[step]["numpy"]
+
+
+def test_features_imports_no_numpy(tmp_path):
+    # the feature columns are array('d'); only maxent asks for numpy arrays
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features")
+    assert loaded["features"]["numpy"] == loaded["features"]["scipy"] == []
 
 
 def test_six_subcommands_and_maxent_never_import_scipy(tmp_path):
@@ -585,11 +591,11 @@ def test_six_subcommands_never_import_scipy(tmp_path):
     loaded = _probe_imports(tmp_path, *_SCALAR, "features", "reconstruct")
     for step in ("package", "cli", *_SCALAR, "features"):
         assert loaded[step]["scipy"] == [], step
-    # reconstruct's moments and bands do load scipy.special, but neither
-    # scipy.integrate nor scipy.optimize
+    # reconstruct's moments and bands do load scipy.special, but not
+    # scipy.integrate, scipy.optimize or scipy.linalg
     assert "scipy.special" in loaded["reconstruct"]["scipy"]
     assert not [m for m in loaded["reconstruct"]["scipy"]
-                if m.startswith(("scipy.integrate", "scipy.optimize"))]
+                if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.linalg"))]
 
 
 # every name phonodist exports, each from the one module that defines it

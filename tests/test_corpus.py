@@ -1,4 +1,6 @@
 import math
+import random
+from array import array
 from collections import defaultdict
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from phonodist import io
 from phonodist.corpus import (
     END_MARKER,
     IncidenceTable,
@@ -298,14 +301,14 @@ class TestFeatureTable:
         table = build_feature_table(fixture_lexicon(), toy_incidence())
         assert table.excluded == ()
         assert table.coverage == 1.0
-        assert table.observed_prob.sum() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(table.observed_prob) == pytest.approx(1.0, abs=1e-12)
 
     def test_exclusion_and_renormalization(self):
         lex = PhonemizedLexicon.build(FIXTURE + [(("p", "a", "q"), 1)])
         table = build_feature_table(lex, toy_incidence(), coverage_floor=0.75)
         assert table.excluded == ("q",)
         assert "q" not in table.phonemes
-        assert table.observed_prob.sum() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(table.observed_prob) == pytest.approx(1.0, abs=1e-12)
         assert table.coverage == pytest.approx(4 / 5)
 
     def test_coverage_floor(self):
@@ -418,3 +421,48 @@ class TestConstraintExpectations:
         assert constraints.c1 == pytest.approx(manual[0], abs=1e-14)
         assert constraints.c2 == pytest.approx(manual[1], abs=1e-14)
         assert constraints.c3 == pytest.approx(manual[2], abs=1e-14)
+
+
+def seeded_lexicon(seed):
+    """A random lexicon over up to twelve phonemes."""
+    rng = random.Random(seed)
+    labels = [f"p{i}" for i in range(rng.randint(2, 12))]
+    return PhonemizedLexicon.build(
+        (rng.choices(labels, k=rng.randint(1, 6)), rng.randint(1, 30))
+        for _ in range(rng.randint(1, 80))
+    )
+
+
+def seeded_tables(tmp_path):
+    """Feature tables from both builders: the corpus build of seeded lexicons,
+    and the reader on seeded TSVs with full-precision values."""
+    for seed in range(30):
+        lex = seeded_lexicon(seed)
+        rng = random.Random(seed)
+        incidence = IncidenceTable({p: rng.uniform(1e-3, 1.0) for p in inventory(lex)})
+        yield build_feature_table(lex, incidence)
+    for seed in range(30):
+        rng = random.Random(1000 + seed)
+        weights = [rng.expovariate(1.0) for _ in range(rng.randint(2, 40))]
+        rows = ["phoneme\tobserved_prob\tcost\tseg_info\tlex_div"]
+        for i, w in enumerate(weights):
+            values = [w / math.fsum(weights)] + [rng.expovariate(0.3) for _ in range(3)]
+            rows.append("\t".join([f"x{i}", *map(repr, values)]))
+        path = tmp_path / f"features_{seed}.tsv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        yield io.load_feature_table(path)
+
+
+def test_both_builders_return_double_arrays(tmp_path):
+    for table in seeded_tables(tmp_path):
+        for column in (table.observed_prob, table.cost, table.seg_info, table.lex_div):
+            assert type(column) is array and column.typecode == "d"
+            assert len(column) == len(table.phonemes)
+
+
+def test_constraints_are_correctly_rounded_dot_products(tmp_path):
+    for table in seeded_tables(tmp_path):
+        got = constraint_expectations(table)
+        for value, column in zip(got, (table.cost, table.seg_info, table.lex_div)):
+            exact = sum(Fraction(p) * Fraction(f) for p, f in zip(table.observed_prob, column))
+            assert value == float(exact)

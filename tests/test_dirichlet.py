@@ -221,6 +221,27 @@ class TestPredictAlpha:
             predict_alpha(n, law)
 
 
+class TestGaussLegendre:
+    def test_nodes_increase_inside_the_unit_interval(self):
+        nodes, weights = dirichlet._gauss_legendre()
+        assert len(nodes) == len(weights) == dirichlet._NODES
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.all(np.diff(nodes) > 0)
+
+    def test_integrates_every_power_up_to_the_rule_degree(self):
+        nodes, weights = dirichlet._gauss_legendre()
+        for k in range(2 * dirichlet._NODES):
+            got = math.fsum(weights * nodes**k)
+            assert got == pytest.approx(1.0 / (k + 1), rel=1e-12, abs=0), k
+
+    def test_matches_scipy_roots_legendre(self):
+        special = pytest.importorskip("scipy.special")
+        x, w = special.roots_legendre(dirichlet._NODES)
+        nodes, weights = dirichlet._gauss_legendre()
+        np.testing.assert_allclose(nodes, (x + 1.0) / 2.0, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(weights, w / 2.0, rtol=1e-10, atol=0)
+
+
 class TestOrderStatisticMoments:
     def test_uniform_pair(self):
         summary = order_statistic_moments(DirichletSpec(2, 1.0))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonodist.entropy import (
@@ -73,6 +73,24 @@ class TestPlugin:
         scaled = plugin_estimate([7 * c for c in counts])
         assert shuffled == pytest.approx(base, abs=1e-12)
         assert scaled == pytest.approx(base, abs=1e-12)
+
+    def test_dominant_share_keeps_its_own_term(self):
+        # ln(c/T) rounds to 0 here; -(1 - p) ln(1 - p) is 1e-18
+        expected = 1e-18 + 1e-18 * math.log(1e18)
+        assert plugin_estimate([10**18, 1]) == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @given(st.integers(1, 2**63 - 1), st.lists(st.integers(1, 10**6), min_size=1, max_size=6))
+    @example(10**18, [1])
+    @example(2**63 - 1, [1, 2])
+    @example(3, [1])
+    @settings(max_examples=100, deadline=None)
+    def test_against_mpmath(self, dominant, rest):
+        mpmath = pytest.importorskip("mpmath")
+        counts = [dominant, *rest]
+        with mpmath.workdps(50):
+            total = mpmath.mpf(sum(counts))
+            exact = -mpmath.fsum(c / total * mpmath.log(c / total) for c in counts)
+        assert plugin_estimate(counts) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 class TestCwj:
