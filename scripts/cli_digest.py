@@ -17,11 +17,13 @@ on all five tables, with and without --n; features on both toy lexicons
 and maxent on each result; regress on the five fitted (n, alpha_hat)
 rows; report over the five tables in two orders; and a few edge inputs
 (an overflowing and an underflowing law, a flat and an exact-line
-regression, fit-alpha on uniform counts, which no concentration fits,
-report over tables whose points give no regression, fit-alpha and
-estimate-entropy with an --n below the table's support, and features on
-toy_a with an incidence table that leaves out "p", above and below the
-coverage floor).
+regression, fit-alpha and estimate-entropy on uniform counts, which no
+concentration fits, report over tables whose points give no regression,
+fit-alpha and estimate-entropy with an --n below the table's support,
+features on toy_a with an incidence table that leaves out "p", above and
+below the coverage floor, and a near-uniform table whose CWJ entropy lies
+one ulp below ln 3, through fit-alpha, estimate-entropy and report with
+the five tables).
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ def main() -> None:
         run("regress", str(tmp / "line.tsv"))
         (tmp / "uniform.tsv").write_text("a\t100\nb\t100\nc\t100\n", encoding="utf-8")
         run("fit-alpha", str(tmp / "uniform.tsv"))
+        run("estimate-entropy", str(tmp / "uniform.tsv"))
         samoan, kaiwa = str(data / "samoan.tsv"), str(data / "kaiwa.tsv")
         run("report", samoan, samoan, samoan)
         run("report", samoan, samoan, kaiwa)
@@ -128,6 +131,12 @@ def main() -> None:
         run("features", toy_a, str(partial), "--coverage-floor", "0.5",
             output=tmp / "features_partial.tsv")
         run("features", toy_a, str(partial))
+        near = tmp / "near_uniform.tsv"
+        near.write_text("a\t1000000000000000\nb\t1000000000000082\nc\t1000000000000075\n",
+                        encoding="utf-8")
+        run("fit-alpha", str(near))
+        run("estimate-entropy", str(near))
+        run("report", str(near), *tables)
 
 
 if __name__ == "__main__":

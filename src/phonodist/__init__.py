@@ -57,7 +57,7 @@ _EXPORTS = {
         "NumericalError",
         "PhonodistError",
     ),
-    "maxent": ("MaxEntProblem", "MaxEntSolution", "guessed_distribution", "solve"),
+    "maxent": ("MaxEntProblem", "MaxEntSolution", "solve"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

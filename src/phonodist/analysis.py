@@ -1,12 +1,12 @@
 """Cross-language statistics.
 
-The per-language concentration fit behind fit-alpha and report, the
-log-log regression of the fits on inventory size, Pearson correlation
-with t-tests, and the compensation report comparing observed and guessed
-relative entropies across languages.  The regression is one closed-form
-least-squares line and the Student-t tail probabilities come from the
-finite sums for integer degrees of freedom, so only ``band_coverage``
-imports numpy.
+The per-language concentration fit behind fit-alpha, estimate-entropy
+and report, the log-log regression of the fits on inventory size, Pearson
+correlation with t-tests, and the compensation report comparing observed
+and guessed relative entropies across languages.  The regression is one
+closed-form least-squares line and the Student-t tail probabilities come
+from the finite sums for integer degrees of freedom, so this module
+imports no numpy; ``band_coverage`` loads it through the bands.
 """
 
 from __future__ import annotations
@@ -187,16 +187,14 @@ def band_coverage(counts: CountVector) -> float:
     with its note where none fits), then checks each observed rank
     probability against the 95 % order-statistic interval of the fit.
     """
-    import numpy as np
-
     fit = fit_language("", counts)
     if fit.alpha_hat is None:
         raise InfeasibleError(fit.note)
     low, high = order_statistic_bands(DirichletSpec(fit.n, fit.alpha_hat), 0.95)
-    ranked = np.sort(counts.positive_counts())[::-1]
-    observed = ranked / ranked.sum()
-    inside = (low <= observed) & (observed <= high)
-    return int(inside.sum()) / len(observed)
+    ranked = sorted(counts.positive_counts(), reverse=True)
+    total = sum(ranked)  # exact shares of Python ints, whatever their size
+    inside = sum(lo <= c / total <= hi for lo, hi, c in zip(low, high, ranked))
+    return int(inside) / len(ranked)
 
 
 class LanguageFit(NamedTuple):
@@ -216,15 +214,6 @@ class CompensationReport(NamedTuple):
     law: AlphaScalingLaw | None
 
 
-def _inventory_size(positive: Sequence[int], n: int | None) -> int:
-    """The declared inventory size n, or the observed support when n is None."""
-    if n is not None and n < len(positive):
-        raise DomainError(
-            f"declared inventory size {n} is below the {len(positive)} phonemes observed"
-        )
-    return len(positive) if n is None else n
-
-
 def _warn(message: str, *args) -> None:
     """Log a warning; logging is loaded only when a run has one to give."""
     import logging
@@ -238,13 +227,21 @@ def fit_language(name: str, counts: CountVector, n: int | None = None) -> Langua
     Where no concentration fits, ``alpha_hat`` is None and ``note`` says why.
     """
     positive = counts.positive_counts()
+    if n is not None and n < len(positive):
+        raise DomainError(
+            f"declared inventory size {n} is below the {len(positive)} phonemes observed"
+        )
+    n = len(positive) if n is None else n
     h_cwj = cwj_estimate(positive)
-    n = _inventory_size(positive, n)
     h_max = math.log(n)
     rel = relative_entropy(h_cwj, n)
-    if 0.0 < h_cwj < h_max:
-        return LanguageFit(name, n, h_cwj, h_max, rel, solve_alpha(h_cwj, n))
-    note = f"alpha infeasible: H={h_cwj:.6g} not inside (0, ln n={h_max:.6g})"
+    if not 0.0 < h_cwj < h_max:
+        note = f"alpha infeasible: H={h_cwj:.6g} not inside (0, ln n={h_max:.6g})"
+    else:
+        try:
+            return LanguageFit(name, n, h_cwj, h_max, rel, solve_alpha(h_cwj, n))
+        except InfeasibleError:
+            note = f"alpha infeasible: H={h_cwj!r} within rounding of ln n={h_max!r}"
     return LanguageFit(name, n, h_cwj, h_max, rel, alpha_hat=None, note=note)
 
 

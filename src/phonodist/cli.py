@@ -121,23 +121,26 @@ def _add_law_args(p: argparse.ArgumentParser) -> None:
                    help=f"scaling-law exponent (default {law.exponent_b})")
 
 
-def cmd_fit_alpha(args) -> None:
+def _fit_table(args) -> tuple[analysis.LanguageFit, dict]:
+    """One table's fit, and the fields that fit-alpha and estimate-entropy share."""
     counts = io.load_frequency_table(args.table)
-    name = args.language or Path(args.table).stem
-    fit = analysis.fit_language(name, counts, args.n)
-    if fit.alpha_hat is None:
-        raise InfeasibleError(f"{name}: {fit.note}")
-    payload = {
-        "language": name,
+    fit = analysis.fit_language(args.language or Path(args.table).stem, counts, args.n)
+    return fit, {
+        "language": fit.name,
         "n": fit.n,
         "tokens": counts.total,
         "H_plugin": entropy.plugin_estimate(counts.positive_counts()),
         "H_cwj": fit.entropy_cwj,
-        "alpha_hat": fit.alpha_hat,
         "relative_entropy": fit.relative_entropy,
         "config": {"n_override": args.n},
     }
-    _emit_json(payload, args.output)
+
+
+def cmd_fit_alpha(args) -> None:
+    fit, payload = _fit_table(args)
+    if fit.alpha_hat is None:
+        raise InfeasibleError(f"{fit.name}: {fit.note}")
+    _emit_json({**payload, "alpha_hat": fit.alpha_hat}, args.output)
 
 
 def cmd_predict_alpha(args) -> None:
@@ -166,21 +169,8 @@ def cmd_reconstruct(args) -> None:
 
 
 def cmd_estimate_entropy(args) -> None:
-    counts = io.load_frequency_table(args.table)
-    positive = counts.positive_counts()
-    h_cwj = entropy.cwj_estimate(positive)
-    n = analysis._inventory_size(positive, args.n)
-    payload = {
-        "language": args.language or Path(args.table).stem,
-        "n": n,
-        "tokens": counts.total,
-        "H_plugin": entropy.plugin_estimate(positive),
-        "H_cwj": h_cwj,
-        "H_max": math.log(n),
-        "relative_entropy": entropy.relative_entropy(h_cwj, n),
-        "config": {"n_override": args.n},
-    }
-    _emit_json(payload, args.output)
+    fit, payload = _fit_table(args)
+    _emit_json({**payload, "H_max": fit.h_max}, args.output)
 
 
 def cmd_features(args) -> None:

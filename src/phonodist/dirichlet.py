@@ -169,7 +169,8 @@ def solve_alpha(entropy_hat: float, n: int) -> float:
 
     The map alpha -> expected entropy is strictly increasing with range
     (0, ln n), so the root is unique; it is bracketed on a log-alpha grid
-    and found by bisection in log alpha.
+    and found by bisection in log alpha.  A target so close to ln n that
+    the float expected entropy never reaches it raises InfeasibleError.
     """
     n = _check_inventory(n)
     h_max = math.log(n)
@@ -188,7 +189,12 @@ def solve_alpha(entropy_hat: float, n: int) -> float:
         lo -= 10
     while gap(hi) < 0 and hi < 200:
         hi += 10
-    if gap(lo) > 0 or gap(hi) < 0:
+    if gap(hi) < 0:
+        raise InfeasibleError(
+            f"target entropy {entropy_hat!r} within rounding of ln n = {h_max!r} "
+            f"for n={n}: no float concentration reaches it"
+        )
+    if gap(lo) > 0:
         raise NumericalError("failed to bracket the concentration root")
     # stop at the width Brent's method was run to (xtol=1e-15, rtol=8.9e-16)
     while hi - lo > 1e-15 + 8.9e-16 * max(abs(lo), abs(hi)):

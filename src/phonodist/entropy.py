@@ -15,7 +15,7 @@ import numbers
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .dirichlet import digamma
+from .dirichlet import _check_inventory, digamma
 from .errors import DomainError
 
 __all__ = [
@@ -131,9 +131,7 @@ def cwj_estimate(counts: Iterable[int]) -> float:
 
 def relative_entropy(value: float, n: int) -> float:
     """An entropy (nats) as a fraction of its maximum ln(n), clamped into (0, 1]."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-        raise DomainError(f"inventory size must be an integer >= 2, got {n!r}")
-    ratio = value / math.log(n)
+    ratio = value / math.log(_check_inventory(n))
     if ratio > 1.0:
         import logging  # loaded only when a value is clamped
 

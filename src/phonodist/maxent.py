@@ -23,7 +23,6 @@ from .errors import DomainError, InfeasibleError, NumericalError
 __all__ = [
     "MaxEntProblem",
     "MaxEntSolution",
-    "guessed_distribution",
     "solve",
 ]
 
@@ -66,10 +65,6 @@ class MaxEntProblem(_MaxEntProblem):
     def _make(cls, fields):  # _replace builds through _make: check there too
         return cls(*fields)
 
-    @property
-    def n_constraints(self) -> int:
-        return int(self.targets.size)
-
 
 class MaxEntSolution(NamedTuple):
     lambda0: float
@@ -88,7 +83,7 @@ def check_feasibility(problem: MaxEntProblem) -> None:
     of either sign, meets every constraint.  ``solve`` settles p >= 0.
     """
     feats, targets = problem.features, problem.targets
-    for k in range(problem.n_constraints):
+    for k in range(targets.size):
         col = feats[:, k]
         lo, hi = col.min(), col.max()
         span = max(hi - lo, 1.0)
@@ -125,20 +120,19 @@ def logsumexp(a: np.ndarray) -> float:
     return np.log1p(s) + np.log(np.float64(k)) + top
 
 
-def guessed_distribution(lambdas: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Gibbs distribution exp(lambda0 + F lambda), overflow-protected."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if not (np.all(np.isfinite(features)) and np.all(np.isfinite(lambdas))):
-        raise DomainError("features and multipliers must be finite")
-    scores = features @ lambdas
-    logp = scores - logsumexp(scores)
-    probs = np.exp(logp)
+def _gibbs(lam: np.ndarray, feats: np.ndarray) -> tuple[float, np.ndarray]:
+    """log Z and the Gibbs distribution exp(F lam - log Z), so lambda0 = -log Z.
+
+    No probability is left below the smallest normal float.
+    """
+    scores = feats @ lam
+    log_z = logsumexp(scores)
+    probs = np.exp(scores - log_z)
     tiny = np.finfo(float).tiny
     if np.any(probs < tiny):
         probs = np.maximum(probs, tiny)
         probs /= probs.sum()
-    return probs
+    return log_z, probs
 
 
 def _dual(lambdas: np.ndarray, feats: np.ndarray, targets: np.ndarray) -> float:
@@ -175,7 +169,7 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     slack = _CERT_TOL * np.abs(shifted).max(initial=0.0)
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        probs = guessed_distribution(lam, feats)
+        log_z, probs = _gibbs(lam, feats)
         mean = feats.T @ probs
         grad = mean - targets
         if k == 0 or np.max(np.abs(grad)) <= tolerance:
@@ -193,7 +187,7 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
             if not np.all(np.isfinite(step)) or step @ grad >= 0:
                 step = -grad
         # backtracking line search on the dual
-        d0 = _dual(lam, feats, targets)
+        d0 = float(log_z - lam @ targets)
         slope = grad @ step
         if -slope <= 1e-13 * max(1.0, abs(d0)):
             # predicted decrease is below the dual's floating-point
@@ -224,9 +218,9 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
         # same Gibbs distribution, minimum-norm multipliers
         lam = np.linalg.pinv(feats, rcond=1e-12) @ (feats @ lam)
 
-    probs = guessed_distribution(lam, feats)
+    log_z, probs = _gibbs(lam, feats)
     return MaxEntSolution(
-        lambda0=float(-logsumexp(feats @ lam)),
+        lambda0=float(-log_z),
         lambdas=lam,
         probs=probs,
         residuals=feats.T @ probs - targets,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from importlib.resources import files
 
 import numpy as np
@@ -255,6 +256,12 @@ class TestBandCoverage:
         )
         assert 0.0 <= cov <= 1.0
 
+    def test_shares_beyond_int64_do_not_wrap(self):
+        # the four counts sum past 2**63-1; the exact shares are 0.4, 0.4,
+        # 0.2 and 2.6e-19
+        counts = CountVector({"a": 2**62, "b": 2**62, "c": 2**61, "d": 3})
+        assert band_coverage(counts) == 0.75
+
     def test_infeasible_counts_raise_the_fit_note(self):
         # uniform counts: the CWJ entropy exceeds ln 3, so no concentration fits
         counts = CountVector({"a": 100, "b": 100, "c": 100})
@@ -356,3 +363,29 @@ class TestFitLanguage:
         fit = fit_language("flat", CountVector({"a": 100, "b": 100, "c": 100}))
         assert fit.alpha_hat is None
         assert fit.note == "alpha infeasible: H=1.10195 not inside (0, ln n=1.09861)"
+
+    def test_entropy_within_rounding_of_ln_n_is_a_note(self):
+        # H_cwj is one ulp below ln 3, closer than the float expected
+        # entropy climbs, so no concentration fits
+        counts = CountVector({"a": 10**15, "b": 10**15 + 82, "c": 10**15 + 75})
+        fit = fit_language("near", counts)
+        assert fit.entropy_cwj == math.nextafter(math.log(3), 0.0)
+        assert fit.alpha_hat is None
+        assert fit.note == (
+            "alpha infeasible: H=1.0986122886681096 within rounding of ln n=1.0986122886681098"
+        )
+
+    def test_never_raises_on_near_uniform_tables(self):
+        """Seeded near-uniform tables, n in {2, ..., 160}, counts from 1e2
+        to 1e18: every fit returns, with an alpha_hat or a note."""
+        rng = random.Random(7)
+        within_rounding = 0
+        for _ in range(4000):
+            n = rng.choice((2, 3, 4, 5, 10, 40, 160))
+            digits = rng.randint(2, 18)
+            spread = 10 ** rng.randint(0, digits)
+            counts = CountVector({f"p{i}": 10**digits + rng.randrange(spread) for i in range(n)})
+            fit = fit_language("x", counts)
+            assert (fit.alpha_hat is None) == (fit.note is not None)
+            within_rounding += fit.note is not None and "within rounding" in fit.note
+        assert within_rounding > 0

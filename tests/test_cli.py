@@ -103,6 +103,55 @@ def test_fit_alpha_and_report_share_the_language_fit(capsys, name):
                    "guessed_relative_entropy": None, "note": None}
 
 
+_SHARED_FIT_FIELDS = ("language", "n", "tokens", "H_plugin", "H_cwj", "relative_entropy", "config")
+
+
+@pytest.mark.parametrize("extra", [(), ("--n", "60")], ids=["support", "n60"])
+@pytest.mark.parametrize("name", ["amenglish", "bengali", "kaiwa", "samoan", "swedish"])
+def test_fit_alpha_and_estimate_entropy_print_the_same_fit(capsys, name, extra):
+    path = data_path(f"{name}.tsv")
+    fitted = run_json(capsys, "fit-alpha", path, *extra)
+    estimated = run_json(capsys, "estimate-entropy", path, *extra)
+    assert {key: fitted[key] for key in _SHARED_FIT_FIELDS} == {
+        key: estimated[key] for key in _SHARED_FIT_FIELDS
+    }
+    assert set(fitted) - set(estimated) == {"alpha_hat"}
+    assert set(estimated) - set(fitted) == {"H_max"}
+
+
+class TestNearUniformTable:
+    """H_cwj one ulp below ln 3, closer than the float expected entropy
+    climbs: no concentration fits, and every subcommand says so."""
+
+    NOTE = "alpha infeasible: H=1.0986122886681096 within rounding of ln n=1.0986122886681098"
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "near.tsv"
+        path.write_text("a\t1000000000000000\nb\t1000000000000082\nc\t1000000000000075\n",
+                        encoding="utf-8")
+        return str(path)
+
+    def test_fit_alpha_exits_4_with_the_note(self, capsys, table):
+        code, out, err = run(capsys, "fit-alpha", table)
+        assert (code, out) == (4, "")
+        assert err == f"error: near: {self.NOTE}\n"
+
+    def test_report_keeps_every_row(self, capsys, caplog, table):
+        names = ("amenglish", "bengali", "kaiwa", "samoan")
+        with caplog.at_level("WARNING"):
+            payload = run_json(capsys, "report", table, *(data_path(f"{n}.tsv") for n in names))
+        assert [row["language"] for row in payload["languages"]] == ["near", *names]
+        assert payload["languages"][0]["alpha_hat"] is None
+        assert payload["languages"][0]["note"] == self.NOTE
+        assert payload["regression"]["n_points"] == 4
+        assert [record.getMessage() for record in caplog.records] == [f"near: {self.NOTE}"]
+
+    def test_estimate_entropy_exits_0(self, capsys, table):
+        payload = run_json(capsys, "estimate-entropy", table)
+        assert payload["H_cwj"] == payload["H_max"] == float(f"{math.log(3):.12g}")
+
+
 class TestPredictAlpha:
     def test_default_law(self, capsys):
         payload = run_json(capsys, "predict-alpha", "--n", "160")
@@ -257,6 +306,14 @@ class TestEstimateEntropy:
         assert payload["H_plugin"] == float(f"{entropy.plugin_estimate(positive):.12g}")
         assert payload["H_max"] == float(f"{math.log(len(positive)):.12g}")
         assert 0.0 < payload["relative_entropy"] <= 1.0
+
+
+    def test_uniform_table_exits_0(self, capsys, tmp_path):
+        # no concentration fits (fit-alpha exits 4), but the entropies print
+        table = tmp_path / "uniform.tsv"
+        table.write_text("a\t100\nb\t100\nc\t100\n", encoding="utf-8")
+        payload = run_json(capsys, "estimate-entropy", str(table))
+        assert payload["relative_entropy"] == 1.0
 
 
 class TestFeaturesAndMaxent:
@@ -605,16 +662,15 @@ _EXPORTS = (
     "IncidenceTable", "InfeasibleError", "IngestError", "MaxEntProblem", "MaxEntSolution",
     "NumericalError", "OrderStatSummary", "PhonemizedLexicon", "PhonodistError",
     "RegressionFit", "build_feature_table", "compensation_report", "constraint_expectations",
-    "cwj_estimate", "digamma", "expected_entropy", "fit_language", "guessed_distribution",
-    "implied_scaling_law", "lexical_information_gain_exact", "loglog_regression",
-    "order_statistic_bands", "order_statistic_moments", "order_statistic_quantile",
-    "pearson_test", "plugin_estimate", "predict_alpha", "reconstruct_from_inventory",
+    "cwj_estimate", "digamma", "expected_entropy", "fit_language", "implied_scaling_law",
+    "lexical_information_gain_exact", "loglog_regression", "order_statistic_bands",
+    "order_statistic_moments", "order_statistic_quantile", "pearson_test", "plugin_estimate", "predict_alpha", "reconstruct_from_inventory",
     "relative_entropy", "solve", "solve_alpha",
 )
 
 
 def test_every_export_resolves_lazily():
-    assert len(_EXPORTS) == 40
+    assert len(_EXPORTS) == 39
     assert sorted(phonodist.__all__) == sorted(_EXPORTS)
     for name in _EXPORTS:
         # drop the cached binding, so that both forms go through the

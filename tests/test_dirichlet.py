@@ -153,6 +153,13 @@ class TestSolveAlpha:
         with pytest.raises(InfeasibleError):
             solve_alpha(bad, 7)
 
+    def test_target_within_rounding_of_ln_n_is_infeasible(self):
+        # one ulp below ln 3: the float expected entropy never climbs that
+        # close before the bracket stops widening
+        target = math.nextafter(math.log(3), 0.0)
+        with pytest.raises(InfeasibleError, match="within rounding of ln n"):
+            solve_alpha(target, 3)
+
     @given(
         alpha=st.floats(0.05, 10.0),
         n=st.integers(5, 200),

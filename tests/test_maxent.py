@@ -1,14 +1,15 @@
 import math
 import re
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from phonodist import corpus, io, maxent
 from phonodist.maxent import (
     MaxEntProblem,
     check_feasibility,
-    guessed_distribution,
     logsumexp,
     solve,
 )
@@ -97,11 +98,11 @@ class TestFeasibility:
 
 class TestGuessedDistribution:
     def test_zero_multipliers_give_uniform(self):
-        probs = guessed_distribution(np.zeros(2), np.random.default_rng(0).normal(size=(5, 2)))
+        _, probs = maxent._gibbs(np.zeros(2), np.random.default_rng(0).normal(size=(5, 2)))
         assert probs == pytest.approx(np.full(5, 0.2))
 
     def test_never_returns_exact_zero(self):
-        probs = guessed_distribution(np.array([2000.0]), np.array([[0.0], [1.0]]))
+        _, probs = maxent._gibbs(np.array([2000.0]), np.array([[0.0], [1.0]]))
         assert np.all(probs > 0)
         assert probs.sum() == pytest.approx(1.0)
 
@@ -225,6 +226,30 @@ class TestSolve:
             solve(problem, tolerance=0.0)
 
 
+def test_one_gibbs_evaluation_per_iterate(monkeypatch):
+    """Apart from the line-search trials (the _dual calls), solve takes
+    log Z once per iterate and once for the returned solution."""
+    data = files("phonodist") / "data"
+    lexicon = io.load_lexicon(str(data / "toy_a.lex"))
+    table = corpus.build_feature_table(lexicon, io.load_incidence(str(data / "toy_incidence.tsv")))
+    problem = MaxEntProblem(
+        table.phonemes, table.feature_matrix(), corpus.constraint_expectations(table).as_array()
+    )
+    calls = {"logsumexp": 0, "dual": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(maxent, "logsumexp", counted("logsumexp", maxent.logsumexp))
+    monkeypatch.setattr(maxent, "_dual", counted("dual", maxent._dual))
+    sol = solve(problem)
+    assert sol.iterations > 1
+    assert calls["logsumexp"] - calls["dual"] == sol.iterations + 1
+
+
 class TestDual:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -233,7 +258,7 @@ class TestDual:
         h = 1e-6
         for _ in range(20):
             lam = rng.normal(scale=0.5, size=3)
-            grad = feats.T @ guessed_distribution(lam, feats) - targets
+            grad = feats.T @ maxent._gibbs(lam, feats)[1] - targets
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
