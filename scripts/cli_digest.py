@@ -12,7 +12,9 @@ a change keeps every CLI artifact byte-identical:
     diff before.txt after.txt
 
 The calls: predict-alpha and reconstruct (also at n = 160 with a 0.8
-band and at n = 60 under another law); fit-alpha and estimate-entropy
+band, at n = 60 under another law, and at the ends of the concentration
+domain: n = 200 with coeff_a 0.01, whose bands meet the smallest normal
+float, n = 11 with alpha 1e9, and n = 1800); fit-alpha and estimate-entropy
 on all five tables, with and without --n; features on both toy lexicons
 and maxent on each result; regress on the five fitted (n, alpha_hat)
 rows; report over the five tables in two orders; and a few edge inputs
@@ -86,6 +88,10 @@ def main() -> None:
         run("reconstruct", "--n", "11", output=tmp / "reconstruct.tsv")
         run("reconstruct", "--n", "160", "--gamma", "0.8")
         run("reconstruct", "--n", "60", "--coeff-a", "0.3", "--exponent-b", "-0.5")
+        # the ends of the concentration domain: floored bands, Temme's range, n = 1800
+        run("reconstruct", "--n", "200", "--coeff-a", "0.01")
+        run("reconstruct", "--n", "11", "--coeff-a", "1e9", "--exponent-b", "0")
+        run("reconstruct", "--n", "1800")
 
         fits = []
         for name in TABLES:

@@ -9,11 +9,10 @@ Exit codes: 0 success, 2 usage, 3 ingest/domain/coverage, 4 numerical/infeasibil
 
 Only features and maxent import the corpus module, which loads no numpy;
 maxent imports the maxent module and numpy with it, and reconstruct loads
-numpy and scipy.special, but not scipy.linalg, through dirichlet.
+numpy and phonodist._gamma through dirichlet.  No subcommand loads scipy.
 The records are named tuples, so no module here imports dataclasses, and
 logging is imported only to emit a warning (a clamped relative entropy,
-or a report language with no fit or no regression); reconstruct loads
-both through scipy.special.
+or a report language with no fit or no regression).
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ symmetric Dirichlet with concentration ``alpha``; its marginals are
 Beta(alpha, (n-1)*alpha).  The rank-frequency curve is the sequence of
 order-statistic means of that marginal (rank 1 = largest order statistic),
 and the concentration itself follows a power law in the inventory size.
-All entropies are in nats.  numpy and scipy.special are imported inside
-the order-statistic functions, so that importing this module, or fitting
-and predicting a concentration, loads neither.  The Gauss-Legendre nodes
-come from numpy, so reconstructing a curve loads no scipy.linalg.
+All entropies are in nats.  numpy and the private _gamma module, which
+computes the incomplete gamma and beta ratios with numpy alone, are
+imported inside the order-statistic functions, so that importing this
+module, or fitting and predicting a concentration, loads neither.  No
+function here needs scipy.
 """
 
 from __future__ import annotations
@@ -225,6 +226,7 @@ def predict_alpha(n: int, law: AlphaScalingLaw = AlphaScalingLaw()) -> float:
 # of about 1e-16 sqrt(alpha), 1e-11 at _MAX_ALPHA.
 _DROP, _NODES, _BLOCK = 50.0, 128, 128
 _MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
+_LOG_RANGE_END = math.log(1e-300)
 
 
 @functools.lru_cache(maxsize=1)
@@ -236,29 +238,17 @@ def _gauss_legendre():
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _log_cdfs(alpha: float, t):
-    """(ln P, ln Q) of Gamma(alpha, 1) at t, each accurate in both tails."""
-    import numpy as np
-    from scipy import special
-
-    P, Q = special.gammainc(alpha, t), special.gammaincc(alpha, t)
-    small, upper = np.minimum(P, Q), P > Q
-    log_small, log_large = np.log(small), np.log1p(-small)
-    return np.where(upper, log_large, log_small), np.where(upper, log_small, log_large)
-
-
-def _log_integrand(n: int, alpha: float, j, p, s):
+def _log_integrand(n: int, alpha: float, j, p, s, log_cdfs):
     """phi, phi' and phi'' in s of phi = ln(t**p * density of ln G_(j)) + const.
 
     G_(j) is the j-th smallest of n iid Gamma(alpha, 1) draws and t = e**s;
-    phi is concave in s.
+    phi is concave in s.  log_cdfs(s) gives (ln P, ln Q) of Gamma(alpha, 1).
     """
     import numpy as np
-    from scipy import special
 
     t = np.exp(s)
-    log_p, log_q = _log_cdfs(alpha, t)
-    log_tf = alpha * s - t - special.gammaln(alpha)  # ln(t * gamma density)
+    log_p, log_q = log_cdfs(s)
+    log_tf = alpha * s - t - math.lgamma(alpha)  # ln(t * gamma density)
     h_p, h_q = np.exp(log_tf - log_p), np.exp(log_tf - log_q)  # d ln P/ds, -d ln Q/ds
     x = s - np.log(alpha + p)
     phi = (alpha + p) * (x - np.expm1(x)) + (j - 1) * log_p + (n - j) * log_q
@@ -272,38 +262,67 @@ def _moment_windows(n: int, alpha: float, j):
     fallen by _DROP left of its peak to where the second-moment one has
     fallen by _DROP right of its own, inside the range where P, Q > 1e-300.
 
-    The peaks come from Newton steps on phi' kept inside a shrinking
-    bracket; the edges from Newton steps on phi - peak + _DROP, which,
-    phi being concave, stay outside the edge once they have crossed it.
+    phi is taken at the nodes of an interpolant of ln P and ln Q, which
+    brackets every peak between the neighbours of its best node and every
+    edge between two nodes.  Newton steps on phi' inside the bracket then
+    place the peaks, and Newton steps on phi - peak + _DROP, which, phi
+    being concave, stay outside the edge once they have crossed it, the
+    edges, started by linear interpolation between their nodes.
     """
     import numpy as np
-    from scipy import special
 
-    t_lo = float(special.gammaincinv(alpha, 1e-300))
-    s_lo = math.log(t_lo) if t_lo > 1e-300 else -690.0
-    s_hi = math.log(float(special.gammainccinv(alpha, 1e-300)))
+    from . import _gamma
+
+    low, high = _gamma.tail_bounds(alpha, _LOG_RANGE_END)
+    log_cdfs = _gamma.Interpolant(alpha, max(low, _LOG_RANGE_END), high)
+    s_lo, s_hi = log_cdfs.quantile([_LOG_RANGE_END] * 2, [False, True])
+    if log_cdfs.log_p[0] >= _LOG_RANGE_END:
+        s_lo = -690.0
     p, side = np.array([[1.0], [2.0]]), np.array([[-1.0], [1.0]])
-    lo, hi = np.full((2, n), s_lo), np.full((2, n), s_hi)
-    start = np.log(np.maximum(special.gammaincinv(alpha, j / (n + 1.0)), 1e-300))
-    s = np.clip(start, s_lo, s_hi) * np.ones((2, 1))
+    inside = (log_cdfs.s > s_lo) & (log_cdfs.s < s_hi)
+    grid = np.concatenate([[s_lo], log_cdfs.s[inside], [s_hi]])
+    log_p, log_q = log_cdfs(grid)
+    x = grid - np.log(alpha + p)
+    at = np.arange(grid.size)
+    parts = []
+    for b in (slice(k, k + 32) for k in range(0, n, 32)):  # 32 ranks keep phi small
+        phi = ((alpha + p)[:, None] * (x - np.expm1(x))[:, None]
+               + (j[b] - 1.0)[:, None] * log_p + (n - j[b])[:, None] * log_q)
+        k = np.argmax(phi, axis=-1)
+        below = phi < np.take_along_axis(phi, k[..., None], -1) - _DROP
+        # the last node below the drop left of the best node, the first right of it
+        cross = np.where(side == -1.0, np.where(below & (at < k[..., None]), at, -1).max(-1),
+                         np.where(below & (at > k[..., None]), at, grid.size).min(-1))
+        near = np.clip(cross, 0, grid.size - 1)
+        far = np.clip(cross - side.astype(int), 0, grid.size - 1)
+        parts.append((k, cross, near, far, np.take_along_axis(phi, near[..., None], -1)[..., 0],
+                      np.take_along_axis(phi, far[..., None], -1)[..., 0]))
+    best, cross, near, far, phi_near, phi_far = (np.concatenate(v, axis=-1) for v in zip(*parts))
+    s = grid[best]
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, grid.size - 1)]
     for _ in range(200):
-        _, d1, d2 = _log_integrand(n, alpha, j, p, s)
+        peak, d1, d2 = _log_integrand(n, alpha, j, p, s, log_cdfs)
         lo, hi = np.where(d1 > 0, s, lo), np.where(d1 > 0, hi, s)
-        # within 1e-3 sd of the peak, or pinned to an end of the range
-        done = (d1 * d1 <= -1e-6 * d2) | (hi - lo <= 1e-9 * (1.0 + np.abs(s)))
+        # within 0.05 sd of the peak, or pinned to an end of the range
+        done = (d1 * d1 <= -2.5e-3 * d2) | (hi - lo <= 1e-9 * (1.0 + np.abs(s)))
         if done.all():
             break
         step = s - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0)
         s = np.where(done, s, np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2.0))
     else:
         raise NumericalError(f"moment windows did not converge at n={n}, alpha={alpha:.3g}")
-    peak, _, d2 = _log_integrand(n, alpha, j, p, s)
-    edge = np.clip(s + side * np.sqrt(2.0 * _DROP / np.maximum(-d2, 1e-300)), s_lo, s_hi)
+    # linear interpolation of phi between the two nodes around each edge
+    share = np.clip((peak - _DROP - phi_near) / np.where(phi_far > phi_near, phi_far - phi_near, 1.0),
+                    0.0, 1.0)
+    edge = np.where((cross < 0) | (cross >= grid.size), np.where(side < 0, s_lo, s_hi),
+                    grid[near] + share * (grid[far] - grid[near]))
     for _ in range(8):
-        phi, d1, _ = _log_integrand(n, alpha, j, p, edge)
+        phi, d1, _ = _log_integrand(n, alpha, j, p, edge, log_cdfs)
         # an edge whose slope points away from its peak is pinned at a range end
-        step = np.divide(phi - peak + _DROP, d1, out=np.zeros_like(d1), where=d1 * side < 0)
-        edge = np.clip(edge - step, s_lo, s_hi)
+        gap = np.where(d1 * side < 0, phi - peak + _DROP, 0.0)
+        if (np.abs(gap) <= 0.1).all():
+            break
+        edge = np.clip(edge - gap / d1, s_lo, s_hi)
     return edge[0], edge[1]
 
 
@@ -317,11 +336,15 @@ def _gamma_moments(n: int, alpha: float, j, low, high):
     probabilities of falling below, inside and above the window.
     """
     import numpy as np
-    from scipy import special
+
+    from . import _gamma
 
     u, w = _gauss_legendre()
     s = low[:, None] + (high - low)[:, None] * u
-    log_p, log_q = _log_cdfs(alpha, np.exp(s))
+    # one evaluation for the nodes and, in the last two columns, the window ends
+    log_p, log_q = _gamma.log_pq(alpha, np.column_stack([s, low, high]))
+    (log_p, log_p_low, log_p_high), (log_q, log_q_low, log_q_high) = (
+        np.split(part, [_NODES, _NODES + 1], axis=1) for part in (log_p, log_q))
     x = s - math.log(alpha)
     log_density = alpha * (x - np.expm1(x)) + (j - 1)[:, None] * log_p + (n - j)[:, None] * log_q
 
@@ -335,9 +358,13 @@ def _gamma_moments(n: int, alpha: float, j, low, high):
     gap = s - log_mean[:, None]
     spread = np.exp(log_sum(log_density + 2.0 * np.maximum(gap, 0.0), np.expm1(-np.abs(gap)) ** 2)
                     - log_mass)
-    below = special.betainc(j, n - j + 1, special.gammainc(alpha, np.exp(low)))
-    above = special.betainc(n - j + 1, j, special.gammaincc(alpha, np.exp(high)))
-    inside = special.betainc(n - j + 1, j, special.gammaincc(alpha, np.exp(low))) - above
+    # G_(j) < e**low when at least j of the n draws are, G_(j) > e**high
+    # when at least n - j + 1 are
+    tails, rests = np.exp(_gamma.binomial_tail(
+        n, np.concatenate([j, n - j + 1]), np.concatenate([log_p_low, log_q_high])[:, 0],
+        np.concatenate([log_q_low, log_p_high])[:, 0]))
+    below, above = np.split(tails, 2)
+    inside = np.split(rests, 2)[0] - above
     return np.exp(log_mean), inside, spread + below + above
 
 
@@ -355,7 +382,7 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
 
     Each G_(j) is summed over nodes in its own window of s = ln t (see
     _moment_windows), one row of a node matrix of _BLOCK ranks, so that
-    gammainc and gammaincc run once per matrix.  Variances are taken over
+    _gamma.log_pq runs once per matrix.  Variances are taken over
     the squared window mean, so that sds far below 1e-154 stay finite;
     a mean below about 1e-300 underflows to 0, and so may its sd.  A
     concentration outside [_MIN_SPREAD / (n - 1), _MAX_ALPHA] raises
@@ -405,20 +432,21 @@ def order_statistic_quantile(spec: DirichletSpec, r, q: float):
 
     The order-statistic CDF is I_F(x)(r, n-r+1), so the quantile is two
     nested incomplete-beta inversions.  An int r gives a float; an integer
-    array of ranks gives the array of their quantiles.
+    array of ranks gives the array of their quantiles.  A quantile below
+    the smallest normal float is returned as that float.
     """
     r = _check_rank(spec, r)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
     import numpy as np
-    from scipy import special
 
-    u = special.betaincinv(r, spec.n - r + 1, q)
-    x = special.betaincinv(spec.beta_a, spec.beta_b, u)
-    failed = np.flatnonzero(~np.isfinite(x))
-    if failed.size:
-        raise NumericalError(f"quantile inversion failed for r={np.ravel(r)[failed[0]]}, q={q}")
-    return x if np.ndim(r) else float(x)
+    from . import _gamma
+
+    try:
+        x = _gamma.order_statistic_quantiles(spec.n, spec.alpha, np.ravel(r), q, _gauss_legendre())
+    except ArithmeticError:
+        raise NumericalError(f"quantile inversion failed for r={r!r}, q={q}") from None
+    return x if np.ndim(r) else float(x[0])
 
 
 def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -429,10 +457,16 @@ def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray
     """
     import numpy as np
 
+    from . import _gamma
+
     smallest = np.arange(spec.n, 0, -1)  # order-statistic index of each rank
-    low = order_statistic_quantile(spec, smallest, (1.0 - level) / 2.0)
-    high = order_statistic_quantile(spec, smallest, (1.0 + level) / 2.0)
-    return low, high
+    levels = np.repeat([(1.0 - level) / 2.0, (1.0 + level) / 2.0], spec.n)
+    try:
+        bands = _gamma.order_statistic_quantiles(spec.n, spec.alpha, np.tile(smallest, 2), levels,
+                                                 _gauss_legendre())
+    except ArithmeticError:
+        raise NumericalError(f"quantile inversion failed at level={level}") from None
+    return bands[:spec.n], bands[spec.n:]
 
 
 def reconstruct_from_inventory(

@@ -136,7 +136,7 @@ def relative_entropy(value: float, n: int) -> float:
         import logging  # loaded only when a value is clamped
 
         logging.getLogger(__name__).warning(
-            "relative entropy %.6g exceeds 1 for n=%d; clamping to 1", ratio, n
+            "relative entropy %r exceeds 1 for n=%d; clamping to 1", ratio, n
         )
         return 1.0
     return ratio

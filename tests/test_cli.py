@@ -552,8 +552,9 @@ from pathlib import Path
 
 
 def loaded():
-    return {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
-            for top in ("numpy", "scipy", "dataclasses", "logging")}
+    modules = {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+               for top in ("numpy", "scipy", "dataclasses", "logging")}
+    return {**modules, "_gamma": [m for m in sys.modules if m == "phonodist._gamma"]}
 
 
 import phonodist
@@ -590,7 +591,8 @@ _SCALAR = ("predict-alpha", "estimate-entropy", "regress", "fit-alpha", "report"
 def _probe_imports(tmp_path, *steps):
     """Import phonodist, then phonodist.cli, then run ``steps`` in one fresh
     interpreter, so that nothing pytest has already imported counts; return
-    the numpy, scipy, dataclasses and logging modules loaded after each."""
+    the numpy, scipy, dataclasses and logging modules, and phonodist._gamma,
+    loaded after each."""
     features = tmp_path / "features.tsv"  # maxent's input, written here
     assert cli.main(["features", data_path("toy_a.lex"), data_path("toy_incidence.tsv"),
                      "-o", str(features)]) == 0
@@ -614,14 +616,17 @@ def test_scalar_subcommands_never_import_numpy(tmp_path):
         assert loaded[step]["numpy"] == loaded[step]["scipy"] == [], step
 
 
-def test_only_reconstruct_imports_dataclasses_or_logging(tmp_path):
+def test_only_reconstruct_imports_the_gamma_module(tmp_path):
     loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent", "reconstruct")
     for step in ("package", "cli", *_SCALAR, "features", "maxent"):
+        assert loaded[step]["_gamma"] == [], step
+    assert loaded["reconstruct"]["_gamma"] == ["phonodist._gamma"]
+
+
+def test_no_subcommand_imports_dataclasses_or_logging(tmp_path):
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent", "reconstruct")
+    for step in ("package", "cli", *_SCALAR, "features", "maxent", "reconstruct"):
         assert loaded[step]["dataclasses"] == loaded[step]["logging"] == [], step
-    # scipy.special brings both
-    assert "scipy.special" in loaded["reconstruct"]["scipy"]
-    assert loaded["reconstruct"]["dataclasses"] == ["dataclasses"]
-    assert "logging" in loaded["reconstruct"]["logging"]
 
 
 @pytest.mark.parametrize("step", ["maxent", "reconstruct"])
@@ -644,15 +649,12 @@ def test_six_subcommands_and_maxent_never_import_scipy(tmp_path):
         assert loaded[step]["scipy"] == [], step
 
 
-def test_six_subcommands_never_import_scipy(tmp_path):
-    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "reconstruct")
-    for step in ("package", "cli", *_SCALAR, "features"):
+def test_no_subcommand_imports_scipy(tmp_path):
+    # reconstruct's moments and bands take their incomplete gamma and beta
+    # ratios from phonodist._gamma, which needs numpy alone
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent", "reconstruct")
+    for step in ("package", "cli", *_SCALAR, "features", "maxent", "reconstruct"):
         assert loaded[step]["scipy"] == [], step
-    # reconstruct's moments and bands do load scipy.special, but not
-    # scipy.integrate, scipy.optimize or scipy.linalg
-    assert "scipy.special" in loaded["reconstruct"]["scipy"]
-    assert not [m for m in loaded["reconstruct"]["scipy"]
-                if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.linalg"))]
 
 
 # every name phonodist exports, each from the one module that defines it

@@ -307,6 +307,19 @@ class TestOrderStatisticMoments:
         with pytest.raises(NumericalError, match="is below"):
             order_statistic_moments(DirichletSpec(n, alpha * 0.99))
 
+    def test_low_ranks_at_a_small_concentration_against_mpmath(self):
+        # coeff_a 0.01 at n = 200: most of a low rank's integrand lies below
+        # t = 1e-300, where its window stops, so its mean needs the window's
+        # probability to relative precision, far below 1e-16
+        alpha = predict_alpha(200, AlphaScalingLaw(coeff_a=0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = order_statistic_moments(DirichletSpec(200, alpha))
+        for rank in (18, 20, 30):
+            mean, sd = mp_rank_moments(200, alpha, rank)
+            assert summary.mean[rank - 1] == pytest.approx(mean, rel=1e-10, abs=0), rank
+            assert summary.sd[rank - 1] == pytest.approx(sd, rel=1e-10, abs=0), rank
+
     def test_self_check_catches_truncated_windows(self, monkeypatch):
         # windows cut where the integrands have fallen by only e**-3 lose
         # mass; the sum and second-moment identities must refuse the curve

@@ -164,6 +164,16 @@ class TestRelativeEntropy:
             assert relative_entropy(5.0, 2) == 1.0
         assert "clamping" in caplog.text
 
+    def test_warning_prints_the_ratio_it_clamps(self, caplog):
+        # a ratio a few ulps above 1 once printed as "relative entropy 1 exceeds 1"
+        value = math.nextafter(math.nextafter(math.log(4), math.inf), math.inf)
+        ratio = value / math.log(4)
+        assert ratio > 1.0
+        with caplog.at_level("WARNING"):
+            assert relative_entropy(value, 4) == 1.0
+        assert f"relative entropy {ratio!r} exceeds 1 for n=4" in caplog.text
+        assert "relative entropy 1 exceeds" not in caplog.text
+
     def test_rejects_small_inventory(self):
         with pytest.raises(DomainError):
             relative_entropy(plugin_estimate([5, 5]), 1)
