@@ -21,9 +21,11 @@ statistics: a binomial tail for the Beta(j, n-j+1) step, then the ratio
 I_x(a, b) from Numerical Recipes' betacf (its prefactor in the
 Stirling-difference form of DiDonato & Morris' brcomp) or, for a + b
 above _BETA_CF_MAX, from the gamma mixture E[P(a, G x/(1-x))] with
-G ~ Gamma(b).  No element's value depends on the array it is computed
-in: the series stop where their terms no longer change any sum, and the
-fractions take a number of steps fixed by the parameters alone.
+G ~ Gamma(b); above a = _CORNISH_FISHER_A, where log_pq is not checked,
+the Cornish-Fisher quantile of logit x is already within 1e-14.  No
+element's value depends on the array it is computed in: the series stop
+where their terms no longer change any sum, and the fractions take a
+number of steps fixed by the parameters alone.
 """
 
 from __future__ import annotations
@@ -38,9 +40,25 @@ _LN_SQRT_2PI = 0.9189385332046728
 # B_2 .. B_16, for Stirling's series and for the zeta values of ln Gamma(1+a)
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 _TEMME_A, _TEMME_ORDERS, _TEMME_DEGREE = 25.0, 14, 34
-_BETA_CF_MAX = 1e4
+_BETA_CF_MAX, _CORNISH_FISHER_A = 1e4, 1e10
 _SMALL_A_T = 2.5
 _SMALLEST_NORMAL = 2.2250738585072014e-308
+_NODES = 128  # Gauss-Legendre nodes of the moment windows and the gamma mixture
+_INTERPOLANT_STEP = 0.08  # node spacing of Interpolant in v
+
+
+@functools.lru_cache(maxsize=1)
+def gauss_legendre():
+    """_NODES Gauss-Legendre nodes on [0, 1] and their weights."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_NODES)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def log_t_density(a: float, log_gamma: float, s):
+    """ln(t * density of Gamma(a, 1) at t) at t = e**s, given ln Gamma(a)."""
+    return a * s - np.exp(s) - log_gamma
 
 
 def _zeta(k: int) -> float:
@@ -277,18 +295,18 @@ def tail_bounds(a: float, log_tail: float) -> tuple[float, float]:
 
 class Interpolant:
     """A cheap stand-in for log_pq on [low, high]: cubic Hermite pieces of
-    ln P and ln Q + t, on nodes evenly spaced in v = asinh((s - c) / w),
+    ln P and ln Q + t, on nodes _INTERPOLANT_STEP apart in v = asinh((s - c) / w),
     with c = ln max(a, 1) and w = 1/sqrt(max(a, 1)), so that they are dense
     where the ratios bend and sparse out in their near-linear tails.  Its
     error, about 1e-5 in the logs, only places the moment windows.
     """
 
-    def __init__(self, a: float, low: float, high: float, step: float = 0.08):
+    def __init__(self, a: float, low: float, high: float):
         self.a, self.log_gamma = a, math.lgamma(a)
         self.centre, self.width = math.log(max(a, 1.0)), 1.0 / math.sqrt(max(a, 1.0))
         self.v_lo = math.asinh((low - self.centre) / self.width)
         v_hi = math.asinh((high - self.centre) / self.width)
-        self.pieces = max(math.ceil((v_hi - self.v_lo) / step), 1)
+        self.pieces = max(math.ceil((v_hi - self.v_lo) / _INTERPOLANT_STEP), 1)
         self.h = (v_hi - self.v_lo) / self.pieces
         v = np.linspace(self.v_lo, v_hi, self.pieces + 1)
         self.s = np.clip(self.centre + self.width * np.sinh(v), low, high)
@@ -300,7 +318,7 @@ class Interpolant:
 
     def slopes(self, s, log_p, log_q):
         """d ln P / ds and -d ln Q / ds."""
-        log_tf = self.a * s - np.exp(s) - self.log_gamma  # ln(t * gamma density)
+        log_tf = log_t_density(self.a, self.log_gamma, s)
         return np.exp(log_tf - log_p), np.exp(log_tf - log_q)
 
     def __call__(self, s):
@@ -488,8 +506,8 @@ class _GammaMixture:
     """I_x(a, b) = E[P(a, G x/(1-x))], G ~ Gamma(b), for scalars a and a
     large b, by Gauss-Legendre nodes over ln G within 12 sds of its mode."""
 
-    def __init__(self, a: float, b: float, nodes):
-        u, w = nodes
+    def __init__(self, a: float, b: float):
+        u, w = gauss_legendre()
         gap = 12.0 / math.sqrt(b) * (2.0 * u - 1.0)  # ln G - ln b
         log_w = np.log(w) - b * (np.expm1(gap) - gap)
         self.a, self.log_gamma = a, math.lgamma(a)
@@ -499,7 +517,7 @@ class _GammaMixture:
     def evaluate(self, y, idx):
         s = self.log_g + y[:, None]
         log_p, log_q = log_pq(self.a, s)
-        log_tf = self.a * s - np.exp(s) - self.log_gamma
+        log_tf = log_t_density(self.a, self.log_gamma, s)
         return (*(_log_sum(self.log_w + part) for part in (log_p, log_q, log_tf)), None)
 
 
@@ -514,7 +532,9 @@ def _beta_logit_quantile(beta, log_tail, upper, y):
     slope of its log density).  An element stops when its step falls below
     1e-14 (1 + |y|), or below 1e-10 (1 + |y|) without halving, where
     rounding has taken over, or after a Halley step below 1e-5 over the
-    scale of the derivatives, which leaves an error of order 1e-10 step."""
+    scale of the derivatives, which leaves an error of order 1e-10 step.
+    A step is held to 64 (1 + |y|): from a start deep in the other tail,
+    where that tail is flat, it would throw y out of the float range."""
     y = np.array(y, dtype=float)
     live = np.arange(y.size)
     sign = np.where(upper, -1.0, 1.0)
@@ -529,9 +549,10 @@ def _beta_logit_quantile(beta, log_tail, upper, y):
         step = sg * (tail - log_tail[live]) / slope
         if bend is not None:  # g''/g' is bend - slope for ln I and bend + slope for ln(1 - I)
             step /= np.clip(1.0 - 0.5 * step * (bend - sg * slope), 0.5, 2.0)
+        scale = 1.0 + np.abs(yl)
+        step = np.clip(step, -64.0 * scale, 64.0 * scale)
         y[live] = yl - step
         size = np.abs(step)
-        scale = 1.0 + np.abs(yl)
         done = (size <= 1e-14 * scale) | ((size <= 1e-10 * scale) & (size >= 0.5 * last[live]))
         if bend is not None:  # a Halley step leaves an error near (scale * step)**2 * step
             done |= size * (1.0 + np.abs(bend) + slope) <= 1e-5
@@ -547,15 +568,38 @@ def _normal_quantile(log_tail):
         1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
 
 
-def _logit_beta_start(a, b, log_tail, upper):
-    """A start for _beta_logit_quantile: the Cornish-Fisher quantile of
-    logit X, X ~ Beta(a, b), which is ln G_a - ln G_b with cumulants
+def _log_normal_tail(z):
+    """ln Phi(-z), elementwise: by erfc below z = 37 (Phi(-37) = 6e-300),
+    above it by Mills' ratio to 1 - z**-2 + 3 z**-4, within 15 z**-6."""
+    out = []
+    for v in np.ravel(z).tolist():
+        if v < 37.0:
+            out.append(math.log(0.5 * math.erfc(v / math.sqrt(2.0))))
+        else:
+            w = 1.0 / (v * v)
+            out.append(-0.5 * v * v - math.log(v) - _LN_SQRT_2PI + math.log1p(w * (3.0 * w - 1.0)))
+    return np.reshape(out, np.shape(z))
+
+
+def _polished_normal_quantile(log_tail):
+    """_normal_quantile polished by two Newton steps on ln Phi(-z), which
+    take its error of 4.5e-4 to about 1e-6 and then below 1e-12."""
+    z = _normal_quantile(log_tail)
+    for _ in range(2):
+        log_phi = _log_normal_tail(z)  # d ln Phi(-z) / dz = -e**(-z**2/2 - ln Phi(-z)) / sqrt(2 pi)
+        z = z + (log_phi - log_tail) * np.exp(log_phi + 0.5 * z * z + _LN_SQRT_2PI)
+    return z
+
+
+def _logit_beta_start(a, b, z):
+    """The Cornish-Fisher quantile of logit X, X ~ Beta(a, b), at the
+    standard normal quantile z: logit X is ln G_a - ln G_b, with cumulants
     psi(a) - psi(b), psi'(a) + psi'(b) and psi''(a) - psi''(b); the
     polygammas are taken six steps up, from their asymptotic series."""
     cumulants = []
-    for z in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)):
-        w = z + 6.0
-        steps = [z + i for i in range(6)]
+    for c in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)):
+        w = c + 6.0
+        steps = [c + i for i in range(6)]
         v = 1.0 / (w * w)
         cumulants.append((
             np.log(w) - 0.5 / w - v * (1 / 12 - v * (1 / 120 - v / 252)) - sum(1.0 / x for x in steps),
@@ -563,29 +607,35 @@ def _logit_beta_start(a, b, log_tail, upper):
             -v * (1.0 + 1.0 / w + v * (0.5 - v / 6)) - sum(2.0 / x ** 3 for x in steps)))
     (psi_a, tri_a, tetra_a), (psi_b, tri_b, tetra_b) = cumulants
     sd = np.sqrt(tri_a + tri_b)
-    z = _normal_quantile(log_tail) * np.where(upper, 1.0, -1.0)
     return psi_a - psi_b + sd * (z + (tetra_a - tetra_b) / sd ** 3 * (z * z - 1.0) / 6.0)
 
 
-def order_statistic_quantiles(n: int, a: float, j, q, nodes):
+def order_statistic_quantiles(n: int, a: float, j, q):
     """Quantiles q of the j-th smallest of n iid Beta(a, (n-1) a) draws,
     elementwise in the integer array j and the levels q, clamped to
-    [smallest normal, 1].
+    [smallest normal, 1], for a from 1e-100 to 1e100.
 
     The j-th smallest has CDF I_F(x)(j, n-j+1), so U, the Beta(j, n-j+1)
     quantile, comes first, then x with I_x(a, (n-1) a) = U, each solved
-    in logit space from its smaller tail.
+    in logit space from its smaller tail.  Above a = _CORNISH_FISHER_A
+    the Cornish-Fisher quantile of logit x, from the polished normal
+    quantile, is x: the terms it leaves out are of order z**3 sd / a,
+    sd = O(a**-1/2), at most about 1e-14 there.
     """
     j = np.asarray(j, dtype=float)
     q = np.broadcast_to(np.asarray(q, dtype=float), j.shape)
     upper = q > 0.5
     log_q = np.log(np.where(upper, 1.0 - q, q))
-    start = _logit_beta_start(j, n + 1.0 - j, log_q, upper)
+    start = _logit_beta_start(j, n + 1.0 - j, np.where(upper, 1.0, -1.0) * _normal_quantile(log_q))
     y_u = _beta_logit_quantile(_IntegerBeta(n, j), log_q, upper, start)
     log_u, log_v = -_softplus(-y_u), -_softplus(y_u)
     b = (n - 1) * a
     upper, log_tail = log_v < log_u, np.minimum(log_u, log_v)
-    beta = _GammaMixture(a, b, nodes) if a + b > _BETA_CF_MAX else _Beta(a, b)
-    start = _logit_beta_start(a, b, log_tail, upper)
-    y = _beta_logit_quantile(beta, log_tail, upper, start)
+    sign = np.where(upper, 1.0, -1.0)
+    if a > _CORNISH_FISHER_A:
+        y = _logit_beta_start(a, b, sign * _polished_normal_quantile(log_tail))
+    else:
+        beta = _GammaMixture(a, b) if a + b > _BETA_CF_MAX else _Beta(a, b)
+        y = _beta_logit_quantile(beta, log_tail, upper,
+                                 _logit_beta_start(a, b, sign * _normal_quantile(log_tail)))
     return np.clip(np.exp(-_softplus(-y)), _SMALLEST_NORMAL, 1.0)

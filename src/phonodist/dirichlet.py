@@ -14,7 +14,6 @@ function here needs scipy.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from typing import TYPE_CHECKING, NamedTuple
@@ -218,40 +217,40 @@ def predict_alpha(n: int, law: AlphaScalingLaw = AlphaScalingLaw()) -> float:
 
 
 # The moment engine works in s = ln t.  Each rank's window holds its first-
-# and second-moment integrands down to exp(-_DROP) of their peaks; _NODES
-# Gauss-Legendre nodes span it, for _BLOCK ranks at a time (128 KB arrays).
+# and second-moment integrands down to exp(-_DROP) of their peaks; the 128
+# nodes of _gamma.gauss_legendre span it, for _BLOCK ranks at a time (128 KB
+# arrays).
 # As (n - 1) alpha falls to 0 the top rank's variance becomes a difference
 # of numbers near 1: at 5e-4 its sd is off mpmath by up to 2e-10, at
 # _MIN_SPREAD by 3e-12.  The log density at a node carries a rounding error
 # of about 1e-16 sqrt(alpha), 1e-11 at _MAX_ALPHA.
-_DROP, _NODES, _BLOCK = 50.0, 128, 128
+_DROP, _BLOCK = 50.0, 128
 _MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
 _LOG_RANGE_END = math.log(1e-300)
 
 
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre():
-    """Gauss-Legendre nodes on [0, 1] and their weights."""
-    from numpy.polynomial.legendre import leggauss
+def _phi(n: int, alpha: float, j, p, s, log_p, log_q):
+    """phi = ln(t**p * density of ln G_(j)) + const at s = ln t, given
+    (ln P, ln Q) of Gamma(alpha, 1) there.
 
-    x, w = leggauss(_NODES)
-    return (x + 1.0) / 2.0, w / 2.0
+    G_(j) is the j-th smallest of n iid Gamma(alpha, 1) draws; phi is
+    concave in s.
+    """
+    import numpy as np
+
+    x = s - np.log(alpha + p)
+    return (alpha + p) * (x - np.expm1(x)) + (j - 1) * log_p + (n - j) * log_q
 
 
 def _log_integrand(n: int, alpha: float, j, p, s, log_cdfs):
-    """phi, phi' and phi'' in s of phi = ln(t**p * density of ln G_(j)) + const.
-
-    G_(j) is the j-th smallest of n iid Gamma(alpha, 1) draws and t = e**s;
-    phi is concave in s.  log_cdfs(s) gives (ln P, ln Q) of Gamma(alpha, 1).
-    """
+    """phi, phi' and phi'' in s (see _phi), with ln P, ln Q and their
+    slopes from the _gamma.Interpolant log_cdfs."""
     import numpy as np
 
     t = np.exp(s)
     log_p, log_q = log_cdfs(s)
-    log_tf = alpha * s - t - math.lgamma(alpha)  # ln(t * gamma density)
-    h_p, h_q = np.exp(log_tf - log_p), np.exp(log_tf - log_q)  # d ln P/ds, -d ln Q/ds
-    x = s - np.log(alpha + p)
-    phi = (alpha + p) * (x - np.expm1(x)) + (j - 1) * log_p + (n - j) * log_q
+    h_p, h_q = log_cdfs.slopes(s, log_p, log_q)  # d ln P/ds, -d ln Q/ds
+    phi = _phi(n, alpha, j, p, s, log_p, log_q)
     d1 = alpha + p - t + (j - 1) * h_p - (n - j) * h_q
     d2 = -t + (j - 1) * h_p * (alpha - t - h_p) - (n - j) * h_q * (alpha - t + h_q)
     return phi, d1, d2
@@ -282,12 +281,10 @@ def _moment_windows(n: int, alpha: float, j):
     inside = (log_cdfs.s > s_lo) & (log_cdfs.s < s_hi)
     grid = np.concatenate([[s_lo], log_cdfs.s[inside], [s_hi]])
     log_p, log_q = log_cdfs(grid)
-    x = grid - np.log(alpha + p)
     at = np.arange(grid.size)
     parts = []
     for b in (slice(k, k + 32) for k in range(0, n, 32)):  # 32 ranks keep phi small
-        phi = ((alpha + p)[:, None] * (x - np.expm1(x))[:, None]
-               + (j[b] - 1.0)[:, None] * log_p + (n - j[b])[:, None] * log_q)
+        phi = _phi(n, alpha, j[b][:, None], p[..., None], grid, log_p, log_q)
         k = np.argmax(phi, axis=-1)
         below = phi < np.take_along_axis(phi, k[..., None], -1) - _DROP
         # the last node below the drop left of the best node, the first right of it
@@ -339,14 +336,13 @@ def _gamma_moments(n: int, alpha: float, j, low, high):
 
     from . import _gamma
 
-    u, w = _gauss_legendre()
+    u, w = _gamma.gauss_legendre()
     s = low[:, None] + (high - low)[:, None] * u
     # one evaluation for the nodes and, in the last two columns, the window ends
     log_p, log_q = _gamma.log_pq(alpha, np.column_stack([s, low, high]))
     (log_p, log_p_low, log_p_high), (log_q, log_q_low, log_q_high) = (
-        np.split(part, [_NODES, _NODES + 1], axis=1) for part in (log_p, log_q))
-    x = s - math.log(alpha)
-    log_density = alpha * (x - np.expm1(x)) + (j - 1)[:, None] * log_p + (n - j)[:, None] * log_q
+        np.split(part, [u.size, u.size + 1], axis=1) for part in (log_p, log_q))
+    log_density = _phi(n, alpha, j[:, None], 0.0, s, log_p, log_q)
 
     def log_sum(log_terms, factor=1.0):
         top = log_terms.max(axis=1)
@@ -427,25 +423,43 @@ def _check_rank(spec: DirichletSpec, r):
     return ranks if ranks.ndim else int(ranks)
 
 
+# The quantiles take concentrations from 1e-100 to 1e100, which hold every
+# one solve_alpha returns (e**-208.4 to e**208.4): below, the start of the
+# inversion overflows; above, its skewness term underflows.
+_MIN_BAND_ALPHA, _MAX_BAND_ALPHA = 1e-100, 1e100
+
+
+def _quantiles(spec: DirichletSpec, j, q, failure: str):
+    """_gamma.order_statistic_quantiles of spec at the order-statistic
+    indices j and levels q; NumericalError, with ``failure`` where the
+    inversion fails."""
+    if not _MIN_BAND_ALPHA <= spec.alpha <= _MAX_BAND_ALPHA:
+        raise NumericalError(
+            f"concentration {spec.alpha:.3g} is outside [{_MIN_BAND_ALPHA:g}, {_MAX_BAND_ALPHA:g}], "
+            f"where the order-statistic quantiles are computed")
+    from . import _gamma
+
+    try:
+        return _gamma.order_statistic_quantiles(spec.n, spec.alpha, j, q)
+    except ArithmeticError:
+        raise NumericalError(failure) from None
+
+
 def order_statistic_quantile(spec: DirichletSpec, r, q: float):
     """Quantile of the r-th order statistic of the Beta marginal.
 
     The order-statistic CDF is I_F(x)(r, n-r+1), so the quantile is two
     nested incomplete-beta inversions.  An int r gives a float; an integer
     array of ranks gives the array of their quantiles.  A quantile below
-    the smallest normal float is returned as that float.
+    the smallest normal float is returned as that float.  A concentration
+    outside [_MIN_BAND_ALPHA, _MAX_BAND_ALPHA] raises NumericalError.
     """
     r = _check_rank(spec, r)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
     import numpy as np
 
-    from . import _gamma
-
-    try:
-        x = _gamma.order_statistic_quantiles(spec.n, spec.alpha, np.ravel(r), q, _gauss_legendre())
-    except ArithmeticError:
-        raise NumericalError(f"quantile inversion failed for r={r!r}, q={q}") from None
+    x = _quantiles(spec, np.ravel(r), q, f"quantile inversion failed for r={r!r}, q={q}")
     return x if np.ndim(r) else float(x[0])
 
 
@@ -457,15 +471,9 @@ def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray
     """
     import numpy as np
 
-    from . import _gamma
-
     smallest = np.arange(spec.n, 0, -1)  # order-statistic index of each rank
     levels = np.repeat([(1.0 - level) / 2.0, (1.0 + level) / 2.0], spec.n)
-    try:
-        bands = _gamma.order_statistic_quantiles(spec.n, spec.alpha, np.tile(smallest, 2), levels,
-                                                 _gauss_legendre())
-    except ArithmeticError:
-        raise NumericalError(f"quantile inversion failed at level={level}") from None
+    bands = _quantiles(spec, np.tile(smallest, 2), levels, f"quantile inversion failed at level={level}")
     return bands[:spec.n], bands[spec.n:]
 
 

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from phonodist import _gamma, dirichlet
+from phonodist.analysis import band_coverage, fit_language
 from phonodist.dirichlet import DirichletSpec, order_statistic_quantile, predict_alpha
+from phonodist.entropy import CountVector
+from phonodist.errors import NumericalError
 
 mpmath = pytest.importorskip("mpmath")
 
 LOG_TINY = math.log(1e-300)
+SMALLEST_NORMAL = 2.2250738585072014e-308
 # the concentrations the moment engine accepts, from 5e-3/(n-1) at n = 2000 to 1e10,
 # with the method boundaries of log_pq (a = 1, 10, 25) on both sides
 ALPHAS = [5e-3 / 1999, 1e-4, 3e-3, 0.0157, 0.157, 0.5, 0.77, 0.999, 1.0, 2.0, 7.3, 9.99, 10.0,
@@ -85,12 +89,14 @@ def test_binomial_tail_against_mpmath(n):
 
 
 def mp_beta_tails(a, b, x):
-    """(I_x(a, b), 1 - I_x(a, b)); for a + b above 1e4, where mpmath's
-    series slow down and give up, by mpmath.quad of the log-concave density of logit X
-    over 60 pieces on either side of logit x, out to 60 sds of the mode."""
+    """(I_x(a, b), 1 - I_x(a, b)), the second as I_(1-x)(b, a): mpmath's
+    betainc over (x, 1) overflows for a near 1e-100.  For a + b above 1e4,
+    where mpmath's series slow down and give up, by mpmath.quad of the
+    log-concave density of logit X over 60 pieces on either side of logit
+    x, out to 60 sds of the mode."""
     if a + b < 1e4:
         return (mpmath.betainc(a, b, 0, x, regularized=True),
-                mpmath.betainc(a, b, x, 1, regularized=True))
+                mpmath.betainc(b, a, 0, 1 - x, regularized=True))
     y, sd = mpmath.log(x / (1 - x)), mpmath.sqrt(1 / a + 1 / b)
     log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
     peak = a * mpmath.log(a / (a + b)) + b * mpmath.log(b / (a + b)) - log_beta
@@ -104,6 +110,15 @@ def mp_beta_tails(a, b, x):
     return left / (left + right), right / (left + right)
 
 
+def mp_order_tails(n, alpha, r, x):
+    """(G(x), 1 - G(x), F(x), 1 - F(x)) for G(x) = I_F(x)(r, n-r+1), the CDF
+    of the r-th smallest of n iid Beta(alpha, (n-1) alpha) draws, whose CDF is F."""
+    a, b, x = mpmath.mpf(alpha), (n - 1) * mpmath.mpf(alpha), mpmath.mpf(x)
+    u, v = mp_beta_tails(a, b, x)
+    return (mpmath.betainc(r, n - r + 1, 0, u, regularized=True),
+            mpmath.betainc(r, n - r + 1, u, 1, regularized=True), u, v)
+
+
 def mp_relative_error(n, alpha, r, q, x):
     """(x - x*) / x* to first order, x* the exact quantile that
     order_statistic_quantile inverts: x* has I_F(x*)(r, n-r+1) = q, with F
@@ -111,9 +126,7 @@ def mp_relative_error(n, alpha, r, q, x):
     for G(x) = I_F(x)(r, n-r+1); each tail is taken on its own side."""
     with mpmath.workdps(40):
         a, b, x, q = mpmath.mpf(alpha), (n - 1) * mpmath.mpf(alpha), mpmath.mpf(x), mpmath.mpf(q)
-        u, v = mp_beta_tails(a, b, x)
-        lower = mpmath.betainc(r, n - r + 1, 0, u, regularized=True)
-        upper = mpmath.betainc(r, n - r + 1, u, 1, regularized=True)
+        lower, upper, u, v = mp_order_tails(n, alpha, r, x)
         gap = lower - q if q < 0.5 else (1 - q) - upper
         log_slope = ((r - 1) * mpmath.log(u) + (n - r) * mpmath.log(v)
                      - mpmath.log(mpmath.beta(r, n - r + 1))
@@ -147,3 +160,73 @@ def test_bands_keep_the_smallest_normal_floor():
     low, high = dirichlet.order_statistic_bands(DirichletSpec(1800, predict_alpha(1800)), 0.95)
     assert low[-1] == 2.2250738585072014e-308
     assert np.all((0 < low) & (low < high) & (high < 1))
+
+
+def assert_quantile(n, alpha, r, q, x):
+    """x is within 1e-12 of the exact quantile, or at the clamp beyond which
+    the exact quantile lies: at most the smallest normal float, or within an
+    ulp of 1."""
+    if x == SMALLEST_NORMAL:
+        assert mp_relative_error(n, alpha, r, q, x) >= -1e-12, (r, q, x)
+    elif x == 1.0:
+        assert mp_relative_error(n, alpha, r, q, 1.0 - 2.0 ** -53) <= 1e-12, (r, q, x)
+    else:
+        assert abs(mp_relative_error(n, alpha, r, q, x)) <= 1e-12, (r, q, x)
+
+
+# count tables whose fits reach the ends of the concentrations a fit gives, with
+# the concentration each fits: near-uniform tables give large ones, beyond
+# _gamma._CORNISH_FISHER_A, and one dominant phoneme tiny ones
+FITTED_EXTREMES = {
+    "near-uniform-2": ([5 * 10**13 + 12 * 10**6, 5 * 10**13 - 12 * 10**6], 1.06e13),
+    "near-uniform-3": ([5 * 10**16 + 6 * 10**8, 5 * 10**16 - 6 * 10**8, 5 * 10**16], 4.85e16),
+    "dominant-3": ([10**7, 2, 1], 1.56e-6),
+    "dominant-5": ([10**30, 1, 1, 1, 1], 2.2e-17),
+}
+
+
+@pytest.mark.parametrize("name", FITTED_EXTREMES)
+def test_bands_and_coverage_at_fitted_extremes_against_mpmath(name):
+    counts, fitted = FITTED_EXTREMES[name]
+    table = CountVector({f"ph{i}": c for i, c in enumerate(counts)})
+    fit = fit_language(name, table)
+    n, alpha = fit.n, fit.alpha_hat
+    assert alpha == pytest.approx(fitted, rel=0.01)
+    low, high = dirichlet.order_statistic_bands(DirichletSpec(n, alpha), 0.95)
+    total, inside = sum(counts), 0
+    for rank, c in enumerate(sorted(counts, reverse=True), start=1):
+        r = n - rank + 1
+        assert_quantile(n, alpha, r, 0.025, low[rank - 1])
+        assert_quantile(n, alpha, r, 0.975, high[rank - 1])
+        # the share lies in the exact band when neither tail of G beyond it is below 0.025
+        with mpmath.workdps(40):
+            below, above, _, _ = mp_order_tails(n, alpha, r, mpmath.mpf(c) / total)
+        inside += below >= 0.025 and above >= 0.025
+    assert band_coverage(table) == inside / n
+
+
+def test_bands_at_the_ends_of_the_concentration_range():
+    # at 1e100 each component is 1/n to rounding (its sd is 1e-50)
+    low, high = dirichlet.order_statistic_bands(DirichletSpec(7, 1e100), 0.95)
+    np.testing.assert_allclose(np.concatenate([low, high]), 1 / 7, rtol=1e-15, atol=0)
+    low, high = dirichlet.order_statistic_bands(DirichletSpec(3, 1e-100), 0.95)
+    for rank in (1, 2, 3):
+        assert_quantile(3, 1e-100, 4 - rank, 0.025, low[rank - 1])
+        assert_quantile(3, 1e-100, 4 - rank, 0.975, high[rank - 1])
+
+
+@pytest.mark.parametrize("alpha", [1e-101, 1e101])
+def test_concentrations_outside_the_range_raise(alpha):
+    spec = DirichletSpec(3, alpha)
+    with pytest.raises(NumericalError, match="outside"):
+        order_statistic_quantile(spec, 1, 0.5)
+    with pytest.raises(NumericalError, match="outside"):
+        dirichlet.order_statistic_bands(spec, 0.95)
+
+
+@pytest.mark.parametrize("n,r,q", [(7, 7, 1e-30), (7, 7, 1e-300), (30, 30, 1e-200), (7, 1, 1e-300)])
+def test_extreme_levels_against_mpmath(n, r, q):
+    # the Cornish-Fisher start of the Beta(r, n-r+1) inversion lies in the
+    # other tail for the top ranks here
+    alpha = predict_alpha(n)
+    assert_quantile(n, alpha, r, q, order_statistic_quantile(DirichletSpec(n, alpha), r, q))
