@@ -7,9 +7,9 @@ output embeds the configuration it was produced with.
 
 Exit codes: 0 success, 2 usage, 3 ingest/domain/coverage, 4 numerical/infeasibility.
 
-Only features and maxent import the corpus module, which loads no numpy;
-maxent imports the maxent module and numpy with it, and reconstruct loads
-numpy and phonodist._gamma through dirichlet.  No subcommand loads scipy.
+Only features and maxent import the corpus module, and only maxent the
+maxent module; neither loads numpy.  Only reconstruct loads numpy, with
+phonodist._gamma, through dirichlet.  No subcommand loads scipy.
 The records are named tuples, so no module here imports dataclasses, and
 logging is imported only to emit a warning (a clamped relative entropy,
 or a report language with no fit or no regression).
@@ -206,8 +206,8 @@ def cmd_maxent(args) -> None:
     constraints = corpus.constraint_expectations(table)
     problem = maxent.MaxEntProblem(
         support=table.phonemes,
-        features=table.feature_matrix(),
-        targets=constraints.as_array(),
+        features=zip(table.cost, table.seg_info, table.lex_div),
+        targets=constraints,
     )
     solution = maxent.solve(problem, tolerance=args.tol)
     n = len(table.phonemes)
@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _numerical_failures() -> tuple[type[Exception], ...]:
     """Exceptions that end a run with exit 4 besides the package's own.
 
-    numpy's LinAlgError counts only once numpy is loaded; before that,
-    nothing can raise it.
+    numpy's LinAlgError counts only once numpy is loaded, which only
+    reconstruct does: its Gauss-Legendre nodes come from numpy's leggauss.
     """
     linalg = sys.modules.get("numpy.linalg")
     return (OverflowError, FloatingPointError) + ((linalg.LinAlgError,) if linalg else ())

@@ -18,7 +18,9 @@ gains are read off the same tree, in one bottom-up sweep of its edges.
 
 The feature columns are ``array('d')`` and the constraint targets are
 summed exactly, so building a feature table loads no numpy; only the two
-methods that hand arrays to the maxent solver import it.
+methods that build numpy arrays for array callers, ``feature_matrix`` and
+``as_array``, import it.  The maxent solver takes the columns and the
+targets as they are.
 """
 
 from __future__ import annotations

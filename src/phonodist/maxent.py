@@ -5,18 +5,26 @@ expectations.  The solution has the Gibbs form log p(x) = lambda0 +
 sum_k lambda_k f_k(x); the multipliers are found by minimizing the smooth
 convex dual D(lambda) = log Z(lambda) - lambda . c with a safeguarded
 Newton iteration (Hessian = feature covariance under the current Gibbs
-distribution), falling back to gradient steps when the Hessian is
-ill-conditioned.  Feasibility needs numpy alone: ``check_feasibility``
-tests column ranges and the affine hull, and the Newton loop certifies
-targets outside the convex hull by a separating direction.
+distribution), falling back to a gradient step when the Newton step is
+no descent direction.  ``check_feasibility`` tests column ranges and the
+affine hull, and the Newton loop certifies targets outside the convex
+hull by a separating direction.
+
+The module runs on the standard library, so importing it loads no numpy:
+sums are ``math.fsum``, and the small dense linear algebra (the rank
+test, the affine-hull least squares, the Newton step and the
+minimum-norm multipliers) takes its singular values from one-sided
+Jacobi, on the R of a Householder QR for the m x K centred features.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import NamedTuple
-
-import numpy as np
+from array import array
+from itertools import chain, repeat
+from operator import add, mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InfeasibleError, NumericalError
 
@@ -29,35 +37,52 @@ __all__ = [
 _MAX_ITER = 10_000
 _HULL_TOL = 1e-12
 _CERT_TOL = 1e-9  # scale-relative slack of the feasibility certificates
+_EPS = 2.0**-52
+_TINY = 2.2250738585072014e-308  # the smallest normal float
+# the Newton step drops the Hessian's singular values at or below this
+# share of the largest: Jacobi gets each to a few ulps of the largest, so
+# smaller ones cannot be told from zero
+_STEP_RCOND = 64 * _EPS
+_SWEEPS = 60  # Jacobi sweeps; a few suffice, each one squares the off-diagonal
 
 
 class _MaxEntProblem(NamedTuple):
     support: tuple[str, ...]
-    features: np.ndarray
-    targets: np.ndarray
+    features: tuple[tuple[float, ...], ...]
+    targets: tuple[float, ...]
+
+
+def _floats(values) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except TypeError:  # a single number
+        return (float(values),)
 
 
 class MaxEntProblem(_MaxEntProblem):
-    """Support labels, an (m, K) feature matrix, and K target expectations."""
+    """Support labels, an (m, K) feature matrix given as m rows (any row
+    sequence, a numpy array too), and K target expectations; rows and
+    targets are kept as tuples of floats."""
 
     __slots__ = ()
 
-    def __new__(cls, support: tuple[str, ...], features: np.ndarray, targets: np.ndarray):
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
-        targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    def __new__(cls, support: tuple[str, ...], features: Iterable[Sequence[float]],
+                targets: Iterable[float]):
+        targets = _floats(targets)
         if len(support) < 2:
             raise DomainError("support must contain at least 2 labels")
-        if feats.size == 0:
-            feats = feats.reshape(len(support), 0)
-        if feats.shape[0] != len(support):
-            raise DomainError(
-                f"feature matrix has {feats.shape[0]} rows for {len(support)} labels"
-            )
-        if feats.shape[1] != targets.size:
-            raise DomainError(
-                f"{feats.shape[1]} feature columns but {targets.size} targets"
-            )
-        if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(targets))):
+        try:
+            feats = tuple(tuple(map(float, row)) for row in features)
+        except TypeError:
+            raise DomainError("features must be a sequence of rows") from None
+        if not feats:
+            feats = ((),) * len(support)
+        if len(feats) != len(support):
+            raise DomainError(f"feature matrix has {len(feats)} rows for {len(support)} labels")
+        for row in feats:
+            if len(row) != len(targets):
+                raise DomainError(f"{len(row)} feature columns but {len(targets)} targets")
+        if not all(map(math.isfinite, chain(targets, *feats))):
             raise DomainError("features and targets must be finite")
         return super().__new__(cls, support, feats, targets)
 
@@ -68,75 +93,227 @@ class MaxEntProblem(_MaxEntProblem):
 
 class MaxEntSolution(NamedTuple):
     lambda0: float
-    lambdas: np.ndarray
-    probs: np.ndarray
-    residuals: np.ndarray
+    lambdas: array
+    probs: array
+    residuals: array
     entropy: float
     iterations: int
+
+
+def _dot(x, y) -> float:
+    return math.fsum(map(mul, x, y))
+
+
+def _qr(columns):
+    """Householder QR of the m x n matrix with these columns.
+
+    Returns the columns of R (its first min(m, n) rows) and the
+    reflectors (k, v, beta) of Q = H_0 H_1 ..., each H = I - beta v v^T
+    acting on entries k onwards.
+    """
+    a = [list(col) for col in columns]
+    m = len(a[0])
+    reflectors = []
+    for k in range(min(m, len(a))):
+        x = a[k][k:]
+        norm = math.hypot(*x)
+        if norm == 0.0:
+            continue
+        alpha = -math.copysign(norm, x[0])
+        v = [x[0] - alpha, *x[1:]]
+        beta = 1.0 / (norm * (norm + abs(x[0])))  # 2 / (v . v)
+        a[k][k:] = [alpha] + [0.0] * (m - k - 1)
+        for col in a[k + 1 :]:
+            w = beta * _dot(v, col[k:])
+            col[k:] = [c - w * vi for c, vi in zip(col[k:], v)]
+        reflectors.append((k, v, beta))
+    rows = min(m, len(a))
+    return [col[:rows] for col in a], reflectors
+
+
+def _apply_q(reflectors, z, m: int) -> list[float]:
+    """Q [z; 0] for the Q of ``_qr`` with m rows."""
+    x = [*z, *[0.0] * (m - len(z))]
+    for k, v, beta in reversed(reflectors):
+        w = beta * _dot(v, x[k:])
+        x[k:] = [c - w * vi for c, vi in zip(x[k:], v)]
+    return x
+
+
+def _svd(columns):
+    """SVD of a small matrix with these columns, by one-sided Jacobi.
+
+    Hestenes' method rotates pairs of columns until every pair is
+    orthogonal to working precision, accumulating the rotations in V:
+    A V = U diag(sigma).  Returns the (sigma, u, v) triples, so that
+    A = sum sigma u v^T; a zero column keeps its u unnormalized.  Jacobi
+    gets small singular values to high relative accuracy (Demmel and
+    Veselic 1992), and no Gram matrix is formed.
+    """
+    r, n = len(columns[0]), len(columns)
+    fsum = math.fsum
+    # each column of A stacked on its column of V = I, so that one
+    # rotation turns both; dot products read the first r entries
+    a = [[*col, *(float(i == j) for i in range(n))] for j, col in enumerate(columns)]
+    pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
+    tol = _EPS * r
+    # a column below eps ||A||_F is noise: every cut of the callers drops
+    # it, and rotating it cycles on rounding
+    floor = (_EPS * math.hypot(*chain(*columns))) ** 2
+    for _ in range(_SWEEPS):
+        # squared column norms, taken afresh each sweep and carried
+        # through its rotations
+        norms = [fsum(map(mul, x, x[:r])) for x in a]
+        rotated = False
+        for j, l in pairs:
+            alpha, beta = norms[j], norms[l]
+            if alpha <= floor or beta <= floor:
+                continue
+            x, y = a[j], a[l]
+            gamma = fsum(map(mul, x, y[:r]))
+            if abs(gamma) <= tol * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            a[j] = [c * p - s * q for p, q in zip(x, y)]
+            a[l] = [s * p + c * q for p, q in zip(x, y)]
+            norms[j], norms[l] = alpha - t * gamma, beta + t * gamma
+        if not rotated:
+            break
+    else:
+        raise NumericalError(f"Jacobi SVD did not converge in {_SWEEPS} sweeps")
+    triples = []
+    for x in a:
+        u = x[:r]
+        sigma = math.hypot(*u)
+        triples.append((sigma, [e / sigma for e in u] if sigma else u, x[r:]))
+    return triples
+
+
+def _pinv_solve(triples, b, cut: float) -> list[float]:
+    """sum x (y . b) / sigma over the (sigma, y, x) triples with sigma > cut:
+    the minimum-norm least-squares solution of A x = b for
+    A = sum sigma y x^T, singular values at or below the cut taken as zero."""
+    out = [0.0] * len(triples[0][2])
+    for sigma, y, x in triples:
+        if sigma > cut:
+            w = _dot(y, b) / sigma
+            out = [o + w * xi for o, xi in zip(out, x)]
+    return out
+
+
+def _check(problem: MaxEntProblem):
+    """The checks of ``check_feasibility``; returns the centred feature
+    columns C = F - 1 mean^T and the (sigma, u, v) triples of C's SVD
+    (u in the coordinates of ``_qr``), for the rank test."""
+    feats, targets = problem.features, problem.targets
+    cols = list(zip(*feats))
+    for k, (col, target) in enumerate(zip(cols, targets)):
+        lo, hi = min(col), max(col)
+        span = max(hi - lo, 1.0)
+        if target < lo - _HULL_TOL * span or target > hi + _HULL_TOL * span:
+            raise InfeasibleError(
+                f"target c[{k}]={target:.6g} outside feature column range "
+                f"[{lo:.6g}, {hi:.6g}] (violating hull direction: feature {k})"
+            )
+    if not cols:
+        return [], []
+    m = len(feats)
+    means = [math.fsum(col) / m for col in cols]
+    centered = [[x - mean for x in col] for col, mean in zip(cols, means)]
+    r, reflectors = _qr(centered)
+    svd = _svd(r)
+    # the minimum-norm least-squares p of [1; F^T] p = [1; c], from C = QR
+    # = sum sigma Q u v^T: p = (a / m) 1 + Q z with z = sum u (v . y) / sigma
+    # and y = c - a mean, since F^T p = a mean + C^T p for p = a / m + Q z.
+    # Off C's row space, a mean - c is left over, and a minimizes
+    # (a - 1)^2 + |a mean - c|^2 there.  The cut is numpy lstsq's default,
+    # machine epsilon times the larger dimension, on the scale ||[1, F]||_F
+    cut = _EPS * max(m, len(cols) + 1) * math.hypot(math.sqrt(m), *chain(*cols))
+    kept = [(s, u, v) for s, u, v in svd if s > cut]
+
+    def off_row_space(x):
+        for _, _, v in kept:
+            w = _dot(v, x)
+            x = [xi - w * vi for xi, vi in zip(x, v)]
+        return x
+
+    mean_off, target_off = off_row_space(means), off_row_space(targets)
+    a = (1.0 + _dot(mean_off, target_off)) / (1.0 + _dot(mean_off, mean_off))
+    y = [c - a * mean for c, mean in zip(targets, means)]
+    z = _pinv_solve([(s, v, u) for s, u, v in svd], y, cut)
+    p = [x + a / m for x in _apply_q(reflectors, z, m)]
+    gap = max(abs(math.fsum(p) - 1.0),
+              *(abs(_dot(col, p) - target) for col, target in zip(cols, targets)))
+    size = max(1.0, max(map(abs, chain(*cols))))
+    if gap > _CERT_TOL * (size * math.fsum(map(abs, p)) + max(1.0, *map(abs, targets))):
+        raise InfeasibleError("targets are jointly infeasible on the simplex "
+                              f"(off the affine hull by {gap:.3g})")
+    return centered, svd
 
 
 def check_feasibility(problem: MaxEntProblem) -> None:
     """Verify the targets lie in each column's range and in the affine hull.
 
     Column-wise bound checks give a named violating direction; the
-    least-squares residual of [1; F^T] p = [1; c] then shows whether any p,
-    of either sign, meets every constraint.  ``solve`` settles p >= 0.
+    minimum-norm least-squares residual of [1; F^T] p = [1; c] then shows
+    whether any p, of either sign, meets every constraint.  ``solve``
+    settles p >= 0.
     """
-    feats, targets = problem.features, problem.targets
-    for k in range(targets.size):
-        col = feats[:, k]
-        lo, hi = col.min(), col.max()
-        span = max(hi - lo, 1.0)
-        if targets[k] < lo - _HULL_TOL * span or targets[k] > hi + _HULL_TOL * span:
-            raise InfeasibleError(
-                f"target c[{k}]={targets[k]:.6g} outside feature column range "
-                f"[{lo:.6g}, {hi:.6g}] (violating hull direction: feature {k})"
-            )
-    a_eq = np.vstack([np.ones(feats.shape[0]), feats.T])
-    b_eq = np.concatenate([[1.0], targets])
-    p = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
-    gap = np.max(np.abs(a_eq @ p - b_eq))
-    if gap > _CERT_TOL * (np.abs(a_eq).max() * np.abs(p).sum() + np.abs(b_eq).max()):
-        raise InfeasibleError("targets are jointly infeasible on the simplex "
-                              f"(off the affine hull by {gap:.3g})")
+    _check(problem)
 
 
-def logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, by scipy.special.logsumexp's algorithm.
+def logsumexp(a: Iterable[float]) -> float:
+    """log(sum(exp(a))) of a sequence of floats, by scipy.special.logsumexp's
+    algorithm.
 
-    The k entries equal to the maximum m are kept out of the shifted sum s,
-    and the result is log1p(s / k) + log(k) + m, which is bit-identical to
-    scipy's.  A non-finite maximum falls back to log(sum(exp(a))), as scipy
-    does.
+    The k entries equal to the maximum m are kept out of the shifted sum
+    s, and the result is log1p(s / k) + log(k) + m; s is the correctly
+    rounded sum of math.fsum.  With no finite maximum the result is the
+    maximum (every entry -inf, or one +inf), or nan if an entry is nan.
     """
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    if not np.isfinite(top):
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.log(np.sum(np.exp(a)))
-    at_top = a == top
-    k = np.count_nonzero(at_top)
-    s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top)) / k
-    return np.log1p(s) + np.log(np.float64(k)) + top
+    a = list(a)
+    top = max(a)
+    if not math.isfinite(top):
+        return math.nan if any(map(math.isnan, a)) else top
+    k = a.count(top)
+    # the k entries at the top contribute exp(0) = 1 each; fsum cancels them exactly
+    s = math.fsum(chain(map(math.exp, map(sub, a, repeat(top))), (-k,))) / k
+    return math.log1p(s) + math.log(k) + top
 
 
-def _gibbs(lam: np.ndarray, feats: np.ndarray) -> tuple[float, np.ndarray]:
-    """log Z and the Gibbs distribution exp(F lam - log Z), so lambda0 = -log Z.
+def _combine(cols, y) -> list[float]:
+    """sum_k y_k cols[k]: the product F y from the K >= 1 columns of F."""
+    terms = zip(cols, y)
+    col, w = next(terms)
+    out = [w * x for x in col]
+    for col, w in terms:
+        out = list(map(add, out, map(mul, col, repeat(w))))
+    return out
+
+
+def _gibbs(scores: Sequence[float]) -> tuple[float, list[float]]:
+    """log Z = log sum exp(scores) and the Gibbs distribution
+    exp(scores - log Z).
 
     No probability is left below the smallest normal float.
     """
-    scores = feats @ lam
     log_z = logsumexp(scores)
-    probs = np.exp(scores - log_z)
-    tiny = np.finfo(float).tiny
-    if np.any(probs < tiny):
-        probs = np.maximum(probs, tiny)
-        probs /= probs.sum()
+    probs = list(map(math.exp, map(sub, scores, repeat(log_z))))
+    if min(probs) < _TINY:
+        probs = [max(p, _TINY) for p in probs]
+        total = math.fsum(probs)
+        probs = [p / total for p in probs]
     return log_z, probs
 
 
-def _dual(lambdas: np.ndarray, feats: np.ndarray, targets: np.ndarray) -> float:
-    return float(logsumexp(feats @ lambdas) - lambdas @ targets)
+def _dual(lambdas: Sequence[float], shifted) -> float:
+    """D(lambda) = log Z - lambda . c = log sum_x exp(lambda . (f(x) - c)),
+    from the columns of F - c."""
+    return logsumexp(_combine(shifted, lambdas))
 
 
 def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
@@ -149,81 +326,101 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
-    check_feasibility(problem)
-    feats, targets = problem.features, problem.targets
-    k = feats.shape[1]
+    centered, svd = _check(problem)
+    targets = problem.targets
+    m, k = len(problem.support), len(targets)
+    if k == 0:  # no constraint: the uniform distribution
+        log_m = math.log(m)
+        return MaxEntSolution(-log_m, array("d"), array("d", [1.0 / m] * m), array("d"),
+                              log_m, 1)
+    cols = list(zip(*problem.features))
 
-    rank_deficient = False
-    if k > 0:
-        centered = feats - feats.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-10 * max(1.0, abs(centered).max())) < k:
-            rank_deficient = True
-            warnings.warn(
-                "feature columns are affinely dependent; selecting the "
-                "minimum-norm multipliers",
-                RuntimeWarning,
-            )
+    rank_tol = 1e-10 * max(1.0, max(map(abs, chain(*centered))))
+    row_space = [v for sigma, _, v in svd if sigma > rank_tol]
+    rank_deficient = len(row_space) < k
+    if rank_deficient:
+        warnings.warn(
+            "feature columns are affinely dependent; selecting the "
+            "minimum-norm multipliers",
+            RuntimeWarning,
+        )
 
-    lam = np.zeros(k)
-    shifted = feats - targets  # rows f(x) - c
-    slack = _CERT_TOL * np.abs(shifted).max(initial=0.0)
+    lam = [0.0] * k
+    unchecked = math.inf  # the residual before the last step taken without a line search
+    shifted = [[x - c for x in col] for col, c in zip(cols, targets)]  # f(x) - c
+    slack = _CERT_TOL * max(map(abs, chain(*shifted)))
+    # the products (f_i - c_i)(f_j - c_j) of each pair of columns: the
+    # Hessian is their mean less grad_i grad_j, which cancels little when
+    # the targets lie far from the origin
+    pairs = [(i, j, list(map(mul, shifted[i], shifted[j]))) for i in range(k) for j in range(i, k)]
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        log_z, probs = _gibbs(lam, feats)
-        mean = feats.T @ probs
-        grad = mean - targets
-        if k == 0 or np.max(np.abs(grad)) <= tolerance:
+        # the Gibbs distribution of the scores lambda . (f(x) - c), whose
+        # log Z is the dual D(lambda)
+        scores = _combine(shifted, lam)
+        d0, probs = _gibbs(scores)
+        mean = [_dot(col, probs) for col in cols]
+        grad = list(map(sub, mean, targets))
+        worst = max(map(abs, grad))
+        if worst <= tolerance:
             break
-        if any(np.max(shifted @ y) < -slack * np.abs(y).sum() for y in (lam, -grad)):
+        if (max(scores) < -slack * math.fsum(map(abs, lam))
+                or min(_combine(shifted, grad)) > slack * math.fsum(map(abs, grad))):
             raise InfeasibleError("targets are jointly infeasible on the simplex "
                                   f"(separated at iteration {iterations})")
-        hess = (feats.T * probs) @ feats - np.outer(mean, mean)
-        try:
-            step = -np.linalg.solve(hess, grad)
-            if np.linalg.cond(hess) > 1e12 or not np.all(np.isfinite(step)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(hess, -grad, rcond=1e-12)
-            if not np.all(np.isfinite(step)) or step @ grad >= 0:
-                step = -grad
+        hess = [[0.0] * k for _ in range(k)]
+        for i, j, prod in pairs:
+            hess[i][j] = hess[j][i] = _dot(prod, probs) - grad[i] * grad[j]
+        # the minimum-norm Newton step, from the singular values that
+        # Jacobi can tell from zero
+        svd = _svd(hess)
+        step = [-x for x in _pinv_solve(svd, grad, _STEP_RCOND * max(s for s, _, _ in svd))]
+        slope = _dot(grad, step)
+        if not (math.isfinite(slope) and slope < 0):
+            step = [-g for g in grad]
+            slope = -_dot(grad, grad)
         # backtracking line search on the dual
-        d0 = float(log_z - lam @ targets)
-        slope = grad @ step
         if -slope <= 1e-13 * max(1.0, abs(d0)):
             # predicted decrease is below the dual's floating-point
-            # resolution; inside the Newton basin, take the full step.  A
-            # step that rounds back to lambda would repeat until _MAX_ITER
-            if np.array_equal(lam + step, lam):
+            # resolution; inside the Newton basin, take the full step.
+            # Two such steps in a row that do not lower the residual only
+            # move lambda in its last bits, and would repeat until _MAX_ITER
+            if worst >= unchecked:
                 raise NumericalError(f"no convergence: lambda stuck at iteration {iterations} "
-                                     f"with residual {np.max(np.abs(grad)):.3g}")
-            lam = lam + step
+                                     f"with residual {worst:.3g}")
+            unchecked = worst
+            lam = [x + s for x, s in zip(lam, step)]
             continue
         t = 1.0
         while t > 1e-14:
-            if _dual(lam + t * step, feats, targets) <= d0 + 1e-4 * t * slope:
+            if _dual([x + t * s for x, s in zip(lam, step)], shifted) <= d0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         if t <= 1e-14:
             # dual already flat along every direction we can compute
-            if np.max(np.abs(grad)) <= 10 * tolerance:
+            if worst <= 10 * tolerance:
                 break
-            raise NumericalError(
-                f"line search stalled with residual {np.max(np.abs(grad)):.3g}"
-            )
-        lam = lam + t * step
+            raise NumericalError(f"line search stalled with residual {worst:.3g}")
+        unchecked = math.inf
+        lam = [x + t * s for x, s in zip(lam, step)]
     else:
         raise NumericalError(f"no convergence within {_MAX_ITER} iterations")
 
     if rank_deficient:
-        # same Gibbs distribution, minimum-norm multipliers
-        lam = np.linalg.pinv(feats, rcond=1e-12) @ (feats @ lam)
+        # the distribution depends on lambda only through C lambda: the
+        # minimum-norm multipliers are lambda's projection on C's row space
+        projected = [0.0] * k
+        for v in row_space:
+            w = _dot(v, lam)
+            projected = [x + w * y for x, y in zip(projected, v)]
+        lam = projected
 
-    log_z, probs = _gibbs(lam, feats)
+    d, probs = _gibbs(_combine(shifted, lam))
     return MaxEntSolution(
-        lambda0=float(-log_z),
-        lambdas=lam,
-        probs=probs,
-        residuals=feats.T @ probs - targets,
-        entropy=float(-np.sum(probs * np.log(probs))),
+        lambda0=-(d + _dot(lam, targets)),
+        lambdas=array("d", lam),
+        probs=array("d", probs),
+        residuals=array("d", (_dot(col, probs) - c for col, c in zip(cols, targets))),
+        entropy=-math.fsum(p * math.log(p) for p in probs),
         iterations=iterations,
     )

@@ -629,22 +629,34 @@ def test_no_subcommand_imports_dataclasses_or_logging(tmp_path):
         assert loaded[step]["dataclasses"] == loaded[step]["logging"] == [], step
 
 
-@pytest.mark.parametrize("step", ["maxent", "reconstruct"])
+@pytest.mark.parametrize("step", ["reconstruct"])
 def test_array_subcommands_import_numpy(tmp_path, step):
     loaded = _probe_imports(tmp_path, *_SCALAR, step)
     assert loaded[_SCALAR[-1]]["numpy"] == []
     assert "numpy" in loaded[step]["numpy"]
 
 
-def test_features_imports_no_numpy(tmp_path):
-    # the feature columns are array('d'); only maxent asks for numpy arrays
-    loaded = _probe_imports(tmp_path, *_SCALAR, "features")
-    assert loaded["features"]["numpy"] == loaded["features"]["scipy"] == []
+def test_only_reconstruct_imports_numpy(tmp_path):
+    # the feature columns are array('d'), and the maxent solver runs on
+    # the standard library
+    loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent")
+    for step in ("package", "cli", *_SCALAR, "features", "maxent"):
+        assert loaded[step]["numpy"] == loaded[step]["scipy"] == [], step
+
+
+def test_maxent_module_imports_no_numpy():
+    src = Path(phonodist.__file__).resolve().parents[1]
+    probe = ("import sys, phonodist.maxent; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_six_subcommands_and_maxent_never_import_scipy(tmp_path):
     loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent")
-    # maxent certifies feasibility with numpy alone
+    # maxent certifies feasibility on the standard library
     for step in ("package", "cli", *_SCALAR, "features", "maxent"):
         assert loaded[step]["scipy"] == [], step
 

@@ -98,18 +98,23 @@ class TestFeasibility:
 
 class TestGuessedDistribution:
     def test_zero_multipliers_give_uniform(self):
-        _, probs = maxent._gibbs(np.zeros(2), np.random.default_rng(0).normal(size=(5, 2)))
-        assert probs == pytest.approx(np.full(5, 0.2))
+        feats = np.random.default_rng(0).normal(size=(5, 2))
+        _, probs = maxent._gibbs(feats @ np.zeros(2))
+        assert probs == pytest.approx([0.2] * 5)
 
     def test_never_returns_exact_zero(self):
-        _, probs = maxent._gibbs(np.array([2000.0]), np.array([[0.0], [1.0]]))
-        assert np.all(probs > 0)
-        assert probs.sum() == pytest.approx(1.0)
+        _, probs = maxent._gibbs([0.0, 2000.0])
+        assert all(p > 0 for p in probs)
+        assert math.fsum(probs) == pytest.approx(1.0)
 
 
 class TestLogSumExp:
-    def test_bit_identical_to_scipy(self):
-        special = pytest.importorskip("scipy.special")
+    # scipy.special.logsumexp's worst error on these vectors is 2.34169 ulp
+    # (vector 1674: a maximum of -0.565 and a result of 0.127)
+    ULPS = 2.3417
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20)
         for _ in range(2000):
             m = int(rng.integers(1, 50))
@@ -120,14 +125,18 @@ class TestLogSumExp:
                 a = np.round(a, 1)
             if rng.random() < 0.3:
                 a[rng.integers(0, m, size=rng.integers(1, m + 1))] = -np.inf
-            with np.errstate(divide="ignore"):
-                expected = special.logsumexp(a)
             got = logsumexp(a)
-            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), a
+            finite = [mpmath.mpf(float(x)) for x in a if np.isfinite(x)]
+            if not finite:
+                assert got == -math.inf, a
+                continue
+            with mpmath.workdps(50):
+                exact = mpmath.log(mpmath.fsum(mpmath.exp(x) for x in finite))
+                error = abs(mpmath.mpf(got) - exact) / math.ulp(float(exact))
+            assert error <= self.ULPS, a
 
     def test_all_minus_infinity(self):
-        with np.errstate(divide="ignore"):
-            assert logsumexp(np.full(3, -np.inf)) == -np.inf
+        assert logsumexp(np.full(3, -np.inf)) == -np.inf
 
 
 class TestSolve:
@@ -258,7 +267,7 @@ class TestDual:
         h = 1e-6
         for _ in range(20):
             lam = rng.normal(scale=0.5, size=3)
-            grad = feats.T @ maxent._gibbs(lam, feats)[1] - targets
+            grad = feats.T @ maxent._gibbs(feats @ lam)[1] - targets
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
@@ -295,7 +304,21 @@ class TestDegeneracy:
         assert sol.probs == pytest.approx(single.probs, abs=1e-9)
         # min-norm multipliers split the single-column multiplier evenly
         assert sol.lambdas[0] == pytest.approx(sol.lambdas[1], abs=1e-10)
-        assert sol.lambdas.sum() == pytest.approx(single.lambdas[0], abs=1e-7)
+        assert math.fsum(sol.lambdas) == pytest.approx(single.lambdas[0], abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_affine_dependence_uses_min_norm(self, seed):
+        # three labels, three features: the centred features have rank 2,
+        # and moving lambda along their null vector leaves the distribution
+        # as it is; the minimum-norm multipliers have no part along it
+        rng = np.random.default_rng(seed)
+        feats = rng.uniform(0, 3, size=(3, 3)) + rng.uniform(-50, 50, size=3)
+        targets = feats.T @ rng.dirichlet(np.ones(3))
+        with pytest.warns(RuntimeWarning, match="affinely dependent"):
+            sol = solve(MaxEntProblem(labels(3), feats, targets))
+        assert max(map(abs, sol.residuals)) <= 1e-10
+        null = np.linalg.svd(feats - feats.mean(axis=0))[2][-1]
+        assert abs(null @ sol.lambdas) <= 1e-12 * math.hypot(*sol.lambdas)
 
 
 class TestInvariances:
@@ -306,7 +329,7 @@ class TestInvariances:
         perm = rng.permutation(6)
         sol = solve(MaxEntProblem(labels(6), feats, targets))
         sol_p = solve(MaxEntProblem(labels(6), feats[perm], targets))
-        assert sol_p.probs == pytest.approx(sol.probs[perm], abs=1e-9)
+        assert sol_p.probs == pytest.approx(np.asarray(sol.probs)[perm], abs=1e-9)
 
     def test_constant_shift_of_feature_column(self):
         rng = np.random.default_rng(12)
@@ -375,7 +398,7 @@ def _oracle_case(rng, kind, few_labels):
 
 def test_feasibility_verdicts_match_a_linear_program():
     """solve raises InfeasibleError exactly when HiGHS finds no p >= 0 with
-    sum p = 1 and F^T p = c, and converges otherwise."""
+    sum p = 1 and F^T p = c, and converges otherwise: no target stalls."""
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2026)
     kinds = ("interior", "face", "vertex", "outside", "box")
@@ -399,13 +422,6 @@ def test_feasibility_verdicts_match_a_linear_program():
         except InfeasibleError as exc:
             assert not lp.success, (kind, feats, targets, exc)
             verdict = next(name for name, phrase in _CERTIFICATES if phrase in str(exc))
-        except NumericalError as exc:
-            # a fault of the Newton loop, not of the certificates, pinned
-            # below: on one feasible face target the steps stop moving the
-            # multipliers with the residual at 1.9e-10
-            # (test_stalled_face_target_fails_fast)
-            assert lp.success and "no convergence" in str(exc), (kind, feats, targets)
-            verdict = "stalled"
         else:
             assert lp.success, (kind, feats, targets)
             assert np.max(np.abs(sol.residuals)) <= 1e-10
@@ -416,25 +432,34 @@ def test_feasibility_verdicts_match_a_linear_program():
     for few_labels in (True, False):
         for certificate in ("converged", "column", "affine", "separated"):
             assert any(k[1:] == (few_labels, certificate) for k in verdicts), certificate
-    assert [key for key in verdicts if key[2] == "stalled"] == [("face", True, "stalled")]
-    assert verdicts["face", True, "stalled"] == 1
-    for kind, total in (("interior", 120), ("face", 119), ("vertex", 120)):
+    for kind, total in (("interior", 120), ("face", 120), ("vertex", 120)):
         assert verdicts[kind, True, "converged"] + verdicts[kind, False, "converged"] == total
     assert verdicts["outside", False, "separated"] > 0
 
 
-def test_stalled_face_target_fails_fast():
-    """The stalled face target of the sweep above (trial 456) stops as soon
-    as a full Newton step leaves lambda unchanged, instead of spinning
-    through every iteration."""
+def test_thin_face_target_converges():
+    """Trial 456 of the sweep above, a face target (m = 5, K = 4, features
+    up to 270) whose Hessian passes condition 1e12 on the way (3.8e12 at
+    the last step), converges: the Newton step keeps every singular value
+    Jacobi can tell from zero."""
     rng = np.random.default_rng(2026)
     kinds = ("interior", "face", "vertex", "outside", "box")
     for trial in range(457):
         feats, targets = _oracle_case(rng, kinds[trial % len(kinds)], trial % 4 == 0)
-    problem = MaxEntProblem(labels(feats.shape[0]), feats, targets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sol = solve(MaxEntProblem(labels(feats.shape[0]), feats, targets))
+    assert max(map(abs, sol.residuals)) <= 1e-10
+
+
+def test_unreachable_tolerance_fails_fast():
+    """A tolerance below the rounding of the residuals stops as soon as two
+    full Newton steps in a row leave the residual where it was, instead of
+    spinning through every iteration."""
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(12, 3))
+    problem = MaxEntProblem(labels(12), feats, feats.T @ rng.dirichlet(np.ones(12)))
     with pytest.raises(NumericalError, match="no convergence: lambda stuck") as excinfo:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            solve(problem)
+        solve(problem, tolerance=1e-300)
     iteration = int(re.search(r"at iteration (\d+)", str(excinfo.value)).group(1))
-    assert iteration <= 200
+    assert iteration <= 20

@@ -57,7 +57,9 @@ VALIDATING = {
 
 
 def _same(a, b):
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    if isinstance(b, list):  # MaxEntProblem keeps its rows and targets as tuples
+        b = tuple(tuple(x) if isinstance(x, list) else x for x in b)
+    return a == b
 
 
 @pytest.mark.parametrize("record", VALIDATING, ids=lambda record: record.__name__)
@@ -88,5 +90,9 @@ def test_replace_keeps_the_conversions():
     counts = entropy.CountVector({"a": 1, "b": 2})._replace(
         entries=MappingProxyType({"a": 4, "b": 2}))
     assert type(counts.entries) is dict and counts.total == 6
-    problem = maxent.MaxEntProblem(("a", "b"), [[0.0], [1.0]], [0.5])._replace(targets=0.25)
-    assert problem.targets.shape == (1,) and problem.features.dtype == float
+    problem = maxent.MaxEntProblem(("a", "b"), np.array([[0], [1]]), [0.5])._replace(targets=0.25)
+    assert problem.targets == (0.25,)
+    assert problem.features == ((0.0,), (1.0,))
+    assert all(type(x) is float for x in (*problem.targets, *problem.features[1]))
+    with pytest.raises(DomainError):
+        problem._replace(features=[[0.0, 1.0], [1.0, 0.0]])
