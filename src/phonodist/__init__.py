@@ -13,13 +13,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": (
         "CompensationReport",
-        "CorrelationResult",
         "RegressionFit",
         "compensation_report",
         "fit_language",
         "implied_scaling_law",
         "loglog_regression",
-        "pearson_test",
     ),
     "corpus": (
         "ConstraintVector",
@@ -38,7 +36,6 @@ _EXPORTS = {
         "expected_entropy",
         "order_statistic_bands",
         "order_statistic_moments",
-        "order_statistic_quantile",
         "predict_alpha",
         "reconstruct_from_inventory",
         "solve_alpha",

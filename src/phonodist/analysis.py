@@ -1,30 +1,26 @@
 """Cross-language statistics.
 
 The per-language concentration fit behind fit-alpha, estimate-entropy
-and report, the log-log regression of the fits on inventory size, Pearson
-correlation with t-tests, and the compensation report comparing observed
-and guessed relative entropies across languages.  The regression is one
-closed-form least-squares line and the Student-t tail probabilities come
-from the finite sums for integer degrees of freedom, so this module
-imports no numpy; ``band_coverage`` loads it through the bands.
+and report, the log-log regression of the fits on inventory size with a
+t-test of its slope, and the compensation report of every language's fit
+with the pooled regression.  The regression is one closed-form
+least-squares line and the Student-t tail probabilities come from the
+finite sums for integer degrees of freedom, so this module imports no
+numpy; ``band_coverage`` loads it through the bands.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
 from .entropy import CountVector, cwj_estimate, relative_entropy
 from .errors import DomainError, InfeasibleError
 
-if TYPE_CHECKING:
-    from .maxent import MaxEntSolution
-
 __all__ = [
     "CompensationReport",
-    "CorrelationResult",
     "LanguageFit",
     "RegressionFit",
     "band_coverage",
@@ -32,7 +28,6 @@ __all__ = [
     "fit_language",
     "implied_scaling_law",
     "loglog_regression",
-    "pearson_test",
 ]
 
 
@@ -44,13 +39,6 @@ class RegressionFit(NamedTuple):
     t_slope: float
     p_slope: float
     n_points: int
-
-
-class CorrelationResult(NamedTuple):
-    r: float
-    t: float
-    df: int
-    p: float
 
 
 def _t_two_sided_p(t: float, df: int) -> float:
@@ -155,31 +143,6 @@ def implied_scaling_law(fit: RegressionFit) -> AlphaScalingLaw:
     )
 
 
-def pearson_test(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Sample Pearson correlation with a two-sided t-test."""
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    if len(x) != len(y):
-        raise DomainError("x and y must have equal length")
-    if len(x) < 3:
-        raise DomainError("correlation needs at least 3 pairs")
-    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
-    xc = [v - mx for v in x]
-    yc = [v - my for v in y]
-    sx = math.fsum(v * v for v in xc)
-    sy = math.fsum(v * v for v in yc)
-    if sx == 0 or sy == 0:
-        raise DomainError("correlation undefined for zero-variance input")
-    r = math.fsum(a * b for a, b in zip(xc, yc)) / math.sqrt(sx * sy)
-    r = max(-1.0, min(1.0, r))
-    df = len(x) - 2
-    if abs(r) == 1.0:
-        t = math.inf if r > 0 else -math.inf
-    else:
-        t = r * math.sqrt(df / (1.0 - r * r))
-    return CorrelationResult(r=r, t=t, df=df, p=_t_two_sided_p(t, df))
-
-
 def band_coverage(counts: CountVector) -> float:
     """Fraction of observed rank probabilities inside the fitted bands.
 
@@ -204,7 +167,6 @@ class LanguageFit(NamedTuple):
     h_max: float
     relative_entropy: float
     alpha_hat: float | None
-    guessed_relative_entropy: float | None = None
     note: str | None = None
 
 
@@ -247,23 +209,19 @@ def fit_language(name: str, counts: CountVector, n: int | None = None) -> Langua
 
 def compensation_report(
     languages: Sequence[tuple[str, CountVector, int | None]],
-    solutions: Mapping[str, MaxEntSolution] | None = None,
 ) -> CompensationReport:
     """Per-language entropy/concentration fits plus the pooled regression.
 
     ``languages`` holds (name, counts, declared inventory size); a None
-    size defaults to the observed support.  Optional maxent solutions add
-    guessed relative entropies.  Points that admit no regression leave
-    the regression and the law None, with a warning naming the reason.
+    size defaults to the observed support.  Points that admit no
+    regression leave the regression and the law None, with a warning
+    naming the reason.
     """
     rows = []
     for name, counts, declared_n in languages:
         row = fit_language(name, counts, declared_n)
         if row.note is not None:
             _warn("%s: %s", name, row.note)
-        if solutions is not None and name in solutions:
-            guessed = min(solutions[name].entropy / row.h_max, 1.0)
-            row = row._replace(guessed_relative_entropy=guessed)
         rows.append(row)
     points = [(row.n, row.alpha_hat) for row in rows if row.alpha_hat is not None]
     try:

@@ -31,7 +31,6 @@ __all__ = [
     "expected_entropy",
     "order_statistic_bands",
     "order_statistic_moments",
-    "order_statistic_quantile",
     "predict_alpha",
     "reconstruct_from_inventory",
     "solve_alpha",
@@ -69,14 +68,6 @@ class DirichletSpec(_DirichletSpec):
     @classmethod
     def _make(cls, fields):  # _replace builds through _make: check there too
         return cls(*fields)
-
-    @property
-    def beta_a(self) -> float:
-        return self.alpha
-
-    @property
-    def beta_b(self) -> float:
-        return (self.n - 1) * self.alpha
 
 
 class _AlphaScalingLaw(NamedTuple):
@@ -413,67 +404,44 @@ def order_statistic_moments(spec: DirichletSpec) -> OrderStatSummary:
     return OrderStatSummary(n=n, alpha=spec.alpha, mean=means, sd=sds)
 
 
-def _check_rank(spec: DirichletSpec, r):
-    """r as an int, or an integer array of ranks as an array, all in 1..n."""
-    import numpy as np
-
-    ranks = np.asarray(r)
-    if ranks.dtype.kind not in "iu" or not ((ranks >= 1) & (ranks <= spec.n)).all():
-        raise DomainError(f"order-statistic index must be an integer in 1..{spec.n}, got {r!r}")
-    return ranks if ranks.ndim else int(ranks)
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
 
 
-# The quantiles take concentrations from 1e-100 to 1e100, which hold every
+# The bands take concentrations from 1e-100 to 1e100, which hold every
 # one solve_alpha returns (e**-208.4 to e**208.4): below, the start of the
 # inversion overflows; above, its skewness term underflows.
 _MIN_BAND_ALPHA, _MAX_BAND_ALPHA = 1e-100, 1e100
 
 
-def _quantiles(spec: DirichletSpec, j, q, failure: str):
-    """_gamma.order_statistic_quantiles of spec at the order-statistic
-    indices j and levels q; NumericalError, with ``failure`` where the
-    inversion fails."""
+def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's central ``level`` band (low, high), indexed by rank - 1.
+
+    Rank r is the j = (n-r+1)-th smallest component.  Its band runs from
+    the (1-level)/2 to the (1+level)/2 quantile of the j-th smallest of n
+    iid draws from the Beta(alpha, (n-1) alpha) marginal, whose CDF is
+    I_F(x)(j, n-j+1) for the marginal CDF F; so each bound is two nested
+    incomplete-beta inversions, all taken in one array call.  A bound
+    below the smallest normal float is returned as that float.  A level
+    outside (0, 1) raises DomainError; a concentration outside
+    [_MIN_BAND_ALPHA, _MAX_BAND_ALPHA] raises NumericalError.
+    """
+    _check_level(level)
     if not _MIN_BAND_ALPHA <= spec.alpha <= _MAX_BAND_ALPHA:
         raise NumericalError(
             f"concentration {spec.alpha:.3g} is outside [{_MIN_BAND_ALPHA:g}, {_MAX_BAND_ALPHA:g}], "
             f"where the order-statistic quantiles are computed")
+    import numpy as np
+
     from . import _gamma
-
-    try:
-        return _gamma.order_statistic_quantiles(spec.n, spec.alpha, j, q)
-    except ArithmeticError:
-        raise NumericalError(failure) from None
-
-
-def order_statistic_quantile(spec: DirichletSpec, r, q: float):
-    """Quantile of the r-th order statistic of the Beta marginal.
-
-    The order-statistic CDF is I_F(x)(r, n-r+1), so the quantile is two
-    nested incomplete-beta inversions.  An int r gives a float; an integer
-    array of ranks gives the array of their quantiles.  A quantile below
-    the smallest normal float is returned as that float.  A concentration
-    outside [_MIN_BAND_ALPHA, _MAX_BAND_ALPHA] raises NumericalError.
-    """
-    r = _check_rank(spec, r)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
-    import numpy as np
-
-    x = _quantiles(spec, np.ravel(r), q, f"quantile inversion failed for r={r!r}, q={q}")
-    return x if np.ndim(r) else float(x[0])
-
-
-def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every rank's central ``level`` band (low, high), indexed by rank - 1.
-
-    Rank r is the (n-r+1)-th smallest component; its band runs from the
-    (1-level)/2 to the (1+level)/2 quantile of order_statistic_quantile.
-    """
-    import numpy as np
 
     smallest = np.arange(spec.n, 0, -1)  # order-statistic index of each rank
     levels = np.repeat([(1.0 - level) / 2.0, (1.0 + level) / 2.0], spec.n)
-    bands = _quantiles(spec, np.tile(smallest, 2), levels, f"quantile inversion failed at level={level}")
+    try:
+        bands = _gamma.order_statistic_quantiles(spec.n, spec.alpha, np.tile(smallest, 2), levels)
+    except ArithmeticError:
+        raise NumericalError(f"quantile inversion failed at level={level}") from None
     return bands[:spec.n], bands[spec.n:]
 
 
@@ -483,8 +451,7 @@ def reconstruct_from_inventory(
     level: float = 0.95,
 ) -> OrderStatSummary:
     """Predicted rank-frequency curve (with confidence bands) from n alone."""
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
+    _check_level(level)
     spec = DirichletSpec(n, predict_alpha(n, law))
     summary = order_statistic_moments(spec)
     ci_low, ci_high = order_statistic_bands(spec, level)

@@ -13,13 +13,11 @@ from phonodist.analysis import (
     fit_language,
     implied_scaling_law,
     loglog_regression,
-    pearson_test,
 )
 from phonodist.dirichlet import AlphaScalingLaw, predict_alpha
 from phonodist.entropy import CountVector
 from phonodist.errors import DomainError, InfeasibleError
 from phonodist.io import load_frequency_table
-from phonodist.maxent import MaxEntProblem, solve
 
 
 def data_path(name):
@@ -192,53 +190,6 @@ class TestImpliedScalingLaw:
         assert law.se_b == fit.se_slope
 
 
-class TestPearson:
-    def test_perfect_correlation(self):
-        result = pearson_test([1, 2, 3, 4], [2, 4, 6, 8])
-        assert result.r == 1.0
-        assert result.p == 0.0
-
-    def test_published_inventory_entropy_example(self):
-        # r = 0.36 over 53 languages gives t ~ 2.76, p ~ 0.008
-        rng = np.random.default_rng(0)
-        target_r = 0.36
-        x = rng.normal(size=53)
-        x -= x.mean()
-        noise = rng.normal(size=53)
-        noise -= noise.mean()
-        noise -= noise @ x / (x @ x) * x
-        y = target_r * x / np.std(x) + math.sqrt(1 - target_r**2) * noise / np.std(noise)
-        result = pearson_test(x, y)
-        assert result.r == pytest.approx(0.36, abs=1e-10)
-        assert result.t == pytest.approx(2.7556, abs=1e-3)
-        assert result.df == 51
-        assert result.p == pytest.approx(0.0082, abs=5e-4)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        x, y = rng.normal(size=20), rng.normal(size=20)
-        a = pearson_test(x, y)
-        b = pearson_test(y, x)
-        assert a.r == pytest.approx(b.r, abs=1e-14)
-        assert a.p == pytest.approx(b.p, abs=1e-14)
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(2)
-        x, y = rng.normal(size=20), rng.normal(size=20)
-        base = pearson_test(x, y)
-        moved = pearson_test(3.0 * x - 7.0, 0.5 * y + 2.0)
-        assert moved.r == pytest.approx(base.r, abs=1e-12)
-        assert pearson_test(-x, y).r == pytest.approx(-base.r, abs=1e-12)
-
-    def test_zero_variance(self):
-        with pytest.raises(DomainError):
-            pearson_test([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            pearson_test([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
 class TestBandCoverage:
     def test_well_specified_sample_is_mostly_covered(self):
         rng = np.random.default_rng(77)
@@ -333,22 +284,6 @@ class TestCompensationReport:
         assert report.regression is None and report.law is None
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [f"no regression: degenerate regression: {reason}"]
-
-    def test_guessed_relative_entropy_attached_and_dominates(self):
-        name, counts, n = synthetic_language("lang", 10, 20000, 305)
-        # a maxent fit constrained only weakly sits at/above the observed
-        arr = np.sort(counts.positive_counts())[::-1].astype(float)
-        obs = arr / arr.sum()
-        feats = -np.log(obs).reshape(-1, 1)
-        problem = MaxEntProblem(
-            tuple(f"p{i}" for i in range(len(obs))), feats, feats.T @ obs
-        )
-        sol = solve(problem)
-        report = compensation_report([(name, counts, n)], solutions={name: sol})
-        row = report.rows[0]
-        assert row.guessed_relative_entropy is not None
-        assert row.guessed_relative_entropy <= 1.0
-        assert row.guessed_relative_entropy >= row.relative_entropy - 0.05
 
 
 class TestFitLanguage:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from phonodist.dirichlet import (
     expected_entropy,
     order_statistic_bands,
     order_statistic_moments,
-    order_statistic_quantile,
     predict_alpha,
     reconstruct_from_inventory,
     solve_alpha,
@@ -42,10 +42,16 @@ def digamma_oracle(x: float) -> float:
     return s + acc
 
 
+def quantile(spec: DirichletSpec, j: int, q: float) -> float:
+    """The q quantile of the j-th smallest of n iid Beta(alpha, (n-1) alpha)
+    draws, by the engine order_statistic_bands calls."""
+    return float(_gamma.order_statistic_quantiles(spec.n, spec.alpha, np.array([j]), q)[0])
+
+
 def iid_order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
     """Density at x of the r-th smallest of n iid Beta(alpha, (n-1)alpha)
-    draws, the construction order_statistic_quantile inverts."""
-    marginal = stats.beta(spec.beta_a, spec.beta_b)
+    draws, the construction the band quantiles invert."""
+    marginal = stats.beta(spec.alpha, (spec.n - 1) * spec.alpha)
     cdf = marginal.cdf(x)
     n = spec.n
     return r * math.comb(n, r) * marginal.pdf(x) * cdf ** (r - 1) * (1.0 - cdf) ** (n - r)
@@ -331,34 +337,28 @@ class TestOrderStatisticMoments:
 class TestOrderStatisticQuantile:
     def test_uniform_pair_median(self):
         # F(x)^2 = 0.5 for the larger of two, so the median is sqrt(1/2)
-        x = order_statistic_quantile(DirichletSpec(2, 1.0), 2, 0.5)
+        x = quantile(DirichletSpec(2, 1.0), 2, 0.5)
         assert x == pytest.approx(math.sqrt(0.5), abs=1e-10)
 
     def test_limits(self):
         spec = DirichletSpec(4, 1.5)
-        assert order_statistic_quantile(spec, 2, 1e-9) < 1e-3
-        tail = [order_statistic_quantile(spec, 3, 1.0 - 10.0 ** -k) for k in (3, 9, 15)]
+        assert quantile(spec, 2, 1e-9) < 1e-3
+        tail = [quantile(spec, 3, 1.0 - 10.0 ** -k) for k in (3, 9, 15)]
         assert np.all(np.diff(tail) > 0)
         assert tail[-1] > 0.98
 
     def test_monotone_in_q(self):
         spec = DirichletSpec(6, 0.8)
         qs = np.linspace(0.01, 0.99, 25)
-        values = [order_statistic_quantile(spec, 3, q) for q in qs]
+        values = [quantile(spec, 3, q) for q in qs]
         assert np.all(np.diff(values) > 0)
-
-    def test_rank_out_of_range(self):
-        spec = DirichletSpec(5, 0.5)
-        for bad in (0, 6, -1):
-            with pytest.raises(DomainError):
-                order_statistic_quantile(spec, bad, 0.5)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_matches_density_quadrature(self, r):
         # the iid density integrated up to the quantile gives back its level
         spec = DirichletSpec(5, 0.5)
         for q in (0.05, 0.5, 0.95):
-            x = order_statistic_quantile(spec, r, q)
+            x = quantile(spec, r, q)
             mass, _ = integrate.quad(
                 lambda t: iid_order_statistic_pdf(spec, r, t), 0, x, limit=400, points=[0.0]
             )
@@ -370,10 +370,10 @@ class TestOrderStatisticQuantile:
         # construction the quantile inverts
         spec = DirichletSpec(5, 2.0)
         rng = np.random.default_rng(42)
-        draws = rng.beta(spec.beta_a, spec.beta_b, size=(10**6, 5))
+        draws = rng.beta(spec.alpha, (spec.n - 1) * spec.alpha, size=(10**6, 5))
         third = np.sort(draws, axis=1)[:, 2]
         empirical = np.quantile(third, 0.95)
-        x = order_statistic_quantile(spec, 3, 0.95)
+        x = quantile(spec, 3, 0.95)
         # MC standard error of the quantile via the density at x
         density = iid_order_statistic_pdf(spec, 3, x)
         se = math.sqrt(0.95 * 0.05 / 10**6) / density
@@ -388,14 +388,19 @@ class TestOrderStatisticBands:
         low, high = order_statistic_bands(spec, level)
         for rank in range(1, n + 1):
             j = n - rank + 1
-            assert low[rank - 1] == order_statistic_quantile(spec, j, (1.0 - level) / 2.0)
-            assert high[rank - 1] == order_statistic_quantile(spec, j, (1.0 + level) / 2.0)
+            assert low[rank - 1] == quantile(spec, j, (1.0 - level) / 2.0)
+            assert high[rank - 1] == quantile(spec, j, (1.0 + level) / 2.0)
 
-    def test_array_ranks_are_checked(self):
-        spec = DirichletSpec(5, 1.0)
-        for ranks in ([0, 1], [1, 6], [1.0, 2.0], [True, False]):
-            with pytest.raises(DomainError):
-                order_statistic_quantile(spec, np.array(ranks), 0.5)
+    @pytest.mark.parametrize("level", [0.0, -0.2, 1.0, 1.5, math.nan])
+    def test_level_outside_the_open_unit_interval_raises(self, level):
+        message = re.escape(f"confidence level must lie in (0, 1), got {level!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=message):
+                order_statistic_bands(DirichletSpec(11, predict_alpha(11)), level)
+        # reconstruct checks the level first, before the inventory size
+        with pytest.raises(DomainError, match=message):
+            reconstruct_from_inventory(1, level=level)
 
 
 class TestReconstruct:

@@ -23,10 +23,8 @@ FIELDS = {
     analysis.RegressionFit: (
         "slope", "intercept", "se_slope", "se_intercept", "t_slope", "p_slope", "n_points",
     ),
-    analysis.CorrelationResult: ("r", "t", "df", "p"),
     analysis.LanguageFit: (
-        "name", "n", "entropy_cwj", "h_max", "relative_entropy", "alpha_hat",
-        "guessed_relative_entropy", "note",
+        "name", "n", "entropy_cwj", "h_max", "relative_entropy", "alpha_hat", "note",
     ),
     analysis.CompensationReport: ("rows", "regression", "law"),
     corpus.PhonemizedLexicon: ("entries",),
