@@ -28,7 +28,8 @@ fit-alpha and estimate-entropy with an --n below the table's support,
 features on toy_a with an incidence table that leaves out "p", above and
 below the coverage floor, and a near-uniform table whose CWJ entropy lies
 one ulp below ln 3, through fit-alpha, estimate-entropy and report with
-the five tables).
+the five tables, and maxent on a feature table whose seg_info column
+copies cost, which warns that the columns are affinely dependent).
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ def _calls(run, data: Path, tmp: Path) -> None:
     run("fit-alpha", str(near))
     run("estimate-entropy", str(near))
     run("report", str(near), *tables)
+    dependent = tmp / "features_dependent.tsv"
+    dependent.write_text("phoneme\tobserved_prob\tcost\tseg_info\tlex_div\n"
+                         "a\t0.4\t0.1\t0.1\t1.8\n" "t\t0.3\t0.35\t0.35\t1.6\n"
+                         "k\t0.2\t0.45\t0.45\t1.7\n" "i\t0.1\t0.6\t0.6\t0.9\n",
+                         encoding="utf-8")
+    run("maxent", str(dependent))
 
 
 def run_calls(src: Path) -> list[dict]:

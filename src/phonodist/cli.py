@@ -12,7 +12,8 @@ maxent module; neither loads numpy.  Only reconstruct loads numpy, with
 phonodist._gamma, through dirichlet.  No subcommand loads scipy.
 The records are named tuples, so no module here imports dataclasses, and
 logging is imported only to emit a warning (a clamped relative entropy,
-or a report language with no fit or no regression).
+or a report language with no fit or no regression).  Every warning, the
+library's ``warnings.warn`` ones too, prints as one line: its message.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from . import analysis, dirichlet, entropy, io
@@ -329,7 +331,12 @@ def _numerical_failures() -> tuple[type[Exception], ...]:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  While it runs, a
+    warning printed to stderr is its message alone on one line; hooks the
+    caller installed still receive every warning."""
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"{message}\n"
     try:
         args.func(args)
     except PhonodistError as exc:
@@ -339,6 +346,8 @@ def main(argv=None) -> int:
     except _numerical_failures() as exc:
         print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return _EXIT_NUMERICAL
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

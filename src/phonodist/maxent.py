@@ -6,7 +6,7 @@ sum_k lambda_k f_k(x); the multipliers are found by minimizing the smooth
 convex dual D(lambda) = log Z(lambda) - lambda . c with a safeguarded
 Newton iteration (Hessian = feature covariance under the current Gibbs
 distribution), falling back to a gradient step when the Newton step is
-no descent direction.  ``check_feasibility`` tests column ranges and the
+no descent direction.  ``solve`` first tests column ranges and the
 affine hull, and the Newton loop certifies targets outside the convex
 hull by a separating direction.
 
@@ -14,7 +14,8 @@ The module runs on the standard library, so importing it loads no numpy:
 sums are ``math.fsum``, and the small dense linear algebra (the rank
 test, the affine-hull least squares, the Newton step and the
 minimum-norm multipliers) takes its singular values from one-sided
-Jacobi, on the R of a Householder QR for the m x K centred features.
+Jacobi: one SVD of the m x K centred features, and one of the K x K
+Hessian per Newton iterate.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _TINY = 2.2250738585072014e-308  # the smallest normal float
 # smaller ones cannot be told from zero
 _STEP_RCOND = 64 * _EPS
 _SWEEPS = 60  # Jacobi sweeps; a few suffice, each one squares the off-diagonal
+_BOUND = 2.0**510  # the largest |f| or |c|: past it (f_i - c_i)(f_j - c_j) can overflow
 
 
 class _MaxEntProblem(NamedTuple):
@@ -82,8 +84,8 @@ class MaxEntProblem(_MaxEntProblem):
         for row in feats:
             if len(row) != len(targets):
                 raise DomainError(f"{len(row)} feature columns but {len(targets)} targets")
-        if not all(map(math.isfinite, chain(targets, *feats))):
-            raise DomainError("features and targets must be finite")
+        if not all(abs(x) <= _BOUND for x in chain(targets, *feats)):
+            raise DomainError("features and targets must be finite and at most 2**510 in magnitude")
         return super().__new__(cls, support, feats, targets)
 
     @classmethod
@@ -104,42 +106,6 @@ def _dot(x, y) -> float:
     return math.fsum(map(mul, x, y))
 
 
-def _qr(columns):
-    """Householder QR of the m x n matrix with these columns.
-
-    Returns the columns of R (its first min(m, n) rows) and the
-    reflectors (k, v, beta) of Q = H_0 H_1 ..., each H = I - beta v v^T
-    acting on entries k onwards.
-    """
-    a = [list(col) for col in columns]
-    m = len(a[0])
-    reflectors = []
-    for k in range(min(m, len(a))):
-        x = a[k][k:]
-        norm = math.hypot(*x)
-        if norm == 0.0:
-            continue
-        alpha = -math.copysign(norm, x[0])
-        v = [x[0] - alpha, *x[1:]]
-        beta = 1.0 / (norm * (norm + abs(x[0])))  # 2 / (v . v)
-        a[k][k:] = [alpha] + [0.0] * (m - k - 1)
-        for col in a[k + 1 :]:
-            w = beta * _dot(v, col[k:])
-            col[k:] = [c - w * vi for c, vi in zip(col[k:], v)]
-        reflectors.append((k, v, beta))
-    rows = min(m, len(a))
-    return [col[:rows] for col in a], reflectors
-
-
-def _apply_q(reflectors, z, m: int) -> list[float]:
-    """Q [z; 0] for the Q of ``_qr`` with m rows."""
-    x = [*z, *[0.0] * (m - len(z))]
-    for k, v, beta in reversed(reflectors):
-        w = beta * _dot(v, x[k:])
-        x[k:] = [c - w * vi for c, vi in zip(x[k:], v)]
-    return x
-
-
 def _svd(columns):
     """SVD of a small matrix with these columns, by one-sided Jacobi.
 
@@ -152,6 +118,11 @@ def _svd(columns):
     """
     r, n = len(columns[0]), len(columns)
     fsum = math.fsum
+    # scaled by the power of two that brings the largest |entry| into
+    # [0.5, 1): exact, so every rotation is the unscaled one, and no
+    # product of two norms overflows
+    scale = math.frexp(max(map(abs, chain(*columns))))[1]
+    columns = [[math.ldexp(e, -scale) for e in col] for col in columns]
     # each column of A stacked on its column of V = I, so that one
     # rotation turns both; dot products read the first r entries
     a = [[*col, *(float(i == j) for i in range(n))] for j, col in enumerate(columns)]
@@ -189,7 +160,7 @@ def _svd(columns):
     for x in a:
         u = x[:r]
         sigma = math.hypot(*u)
-        triples.append((sigma, [e / sigma for e in u] if sigma else u, x[r:]))
+        triples.append((math.ldexp(sigma, scale), [e / sigma for e in u] if sigma else u, x[r:]))
     return triples
 
 
@@ -206,9 +177,11 @@ def _pinv_solve(triples, b, cut: float) -> list[float]:
 
 
 def _check(problem: MaxEntProblem):
-    """The checks of ``check_feasibility``; returns the centred feature
-    columns C = F - 1 mean^T and the (sigma, u, v) triples of C's SVD
-    (u in the coordinates of ``_qr``), for the rank test."""
+    """Verify the targets lie in each column's range (naming a violating
+    direction) and in the affine hull: the minimum-norm least-squares
+    residual of [1; F^T] p = [1; c] shows whether any p, of either sign,
+    meets every constraint.  Returns the centred feature columns
+    C = F - 1 mean^T and the (sigma, u, v) triples of C's SVD."""
     feats, targets = problem.features, problem.targets
     cols = list(zip(*feats))
     for k, (col, target) in enumerate(zip(cols, targets)):
@@ -224,11 +197,10 @@ def _check(problem: MaxEntProblem):
     m = len(feats)
     means = [math.fsum(col) / m for col in cols]
     centered = [[x - mean for x in col] for col, mean in zip(cols, means)]
-    r, reflectors = _qr(centered)
-    svd = _svd(r)
-    # the minimum-norm least-squares p of [1; F^T] p = [1; c], from C = QR
-    # = sum sigma Q u v^T: p = (a / m) 1 + Q z with z = sum u (v . y) / sigma
-    # and y = c - a mean, since F^T p = a mean + C^T p for p = a / m + Q z.
+    svd = _svd(centered)
+    # the minimum-norm least-squares p of [1; F^T] p = [1; c], from C =
+    # sum sigma u v^T: p = (a / m) 1 + sum u (v . y) / sigma with y = c - a
+    # mean, since every u is orthogonal to 1 and so F^T p = a mean + C^T p.
     # Off C's row space, a mean - c is left over, and a minimizes
     # (a - 1)^2 + |a mean - c|^2 there.  The cut is numpy lstsq's default,
     # machine epsilon times the larger dimension, on the scale ||[1, F]||_F
@@ -244,8 +216,7 @@ def _check(problem: MaxEntProblem):
     mean_off, target_off = off_row_space(means), off_row_space(targets)
     a = (1.0 + _dot(mean_off, target_off)) / (1.0 + _dot(mean_off, mean_off))
     y = [c - a * mean for c, mean in zip(targets, means)]
-    z = _pinv_solve([(s, v, u) for s, u, v in svd], y, cut)
-    p = [x + a / m for x in _apply_q(reflectors, z, m)]
+    p = [x + a / m for x in _pinv_solve([(s, v, u) for s, u, v in svd], y, cut)]
     gap = max(abs(math.fsum(p) - 1.0),
               *(abs(_dot(col, p) - target) for col, target in zip(cols, targets)))
     size = max(1.0, max(map(abs, chain(*cols))))
@@ -253,17 +224,6 @@ def _check(problem: MaxEntProblem):
         raise InfeasibleError("targets are jointly infeasible on the simplex "
                               f"(off the affine hull by {gap:.3g})")
     return centered, svd
-
-
-def check_feasibility(problem: MaxEntProblem) -> None:
-    """Verify the targets lie in each column's range and in the affine hull.
-
-    Column-wise bound checks give a named violating direction; the
-    minimum-norm least-squares residual of [1; F^T] p = [1; c] then shows
-    whether any p, of either sign, meets every constraint.  ``solve``
-    settles p >= 0.
-    """
-    _check(problem)
 
 
 def logsumexp(a: Iterable[float]) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -395,6 +396,31 @@ class TestFeaturesAndMaxent:
         assert cli.main(["maxent", str(feat_file), "-o", str(a)]) == 0
         assert cli.main(["maxent", str(feat_file), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_maxent_features_past_the_bound_exit_3(self, capsys, tmp_path):
+        table = tmp_path / "huge.tsv"
+        table.write_text("phoneme\tobserved_prob\tcost\tseg_info\tlex_div\n"
+                         "a\t0.5\t3e156\t0.1\t1.0\n" "b\t0.5\t-3e156\t0.2\t1.5\n",
+                         encoding="utf-8")
+        assert cli.main(["maxent", str(table)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: features and targets must be finite and at most 2**510 in magnitude"
+        ]
+
+    def test_maxent_warning_reaches_the_callers_recorder(self, capsys, tmp_path):
+        """main shortens the printed text of a warning (tests/golden/50-maxent.json
+        pins it), but a recorder installed around it still gets the warning,
+        and the formatter is the caller's again afterwards."""
+        table = tmp_path / "dependent.tsv"
+        table.write_text("phoneme\tobserved_prob\tcost\tseg_info\tlex_div\n"
+                         "a\t0.4\t0.1\t0.1\t1.8\n" "t\t0.3\t0.35\t0.35\t1.6\n"
+                         "k\t0.2\t0.45\t0.45\t1.7\n" "i\t0.1\t0.6\t0.6\t0.9\n",
+                         encoding="utf-8")
+        formatwarning = warnings.formatwarning
+        with pytest.warns(RuntimeWarning, match="affinely dependent"):
+            assert cli.main(["maxent", str(table)]) == 0
+        assert warnings.formatwarning is formatwarning
+        assert capsys.readouterr().err == ""
 
     def test_coverage_floor_violation_exits_3(self, capsys, tmp_path):
         incidence = tmp_path / "sparse.tsv"

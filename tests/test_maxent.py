@@ -9,7 +9,6 @@ import pytest
 from phonodist import corpus, io, maxent
 from phonodist.maxent import (
     MaxEntProblem,
-    check_feasibility,
     logsumexp,
     solve,
 )
@@ -57,6 +56,14 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             MaxEntProblem(labels(2), np.array([[np.nan], [0.0]]), np.zeros(1))
 
+    def test_rejects_magnitudes_past_2_to_the_510(self):
+        edge = 2.0**510
+        MaxEntProblem(labels(2), [[-edge], [edge]], [edge])
+        past = math.nextafter(edge, math.inf)
+        for feats, targets in (([[-edge], [past]], [0.0]), ([[-edge], [edge]], [-past])):
+            with pytest.raises(DomainError, match=re.escape("at most 2**510 in magnitude")):
+                MaxEntProblem(labels(2), feats, targets)
+
 
 class TestFeasibility:
     def test_column_range_violation_names_direction(self):
@@ -64,14 +71,14 @@ class TestFeasibility:
             labels(3), np.array([[0.0], [1.0], [2.0]]), np.array([2.5])
         )
         with pytest.raises(InfeasibleError, match="feature 0"):
-            check_feasibility(problem)
+            maxent._check(problem)
 
     def test_jointly_infeasible_despite_per_column_ranges(self):
         # each target inside its own column range, but p2 + p3 = 1.2 > 1;
         # inside the affine hull, so the Newton loop finds the separation
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         problem = MaxEntProblem(labels(3), feats, np.array([0.6, 0.6]))
-        check_feasibility(problem)
+        maxent._check(problem)
         with pytest.raises(InfeasibleError, match="separated at iteration"):
             solve(problem)
 
@@ -87,13 +94,13 @@ class TestFeasibility:
     def test_off_the_affine_hull(self, feats, targets):
         problem = MaxEntProblem(labels(len(feats)), np.array(feats), np.array(targets))
         with pytest.raises(InfeasibleError, match="affine hull"):
-            check_feasibility(problem)
+            maxent._check(problem)
 
     def test_boundary_target_is_feasible(self):
         problem = MaxEntProblem(
             labels(3), np.array([[0.0], [1.0], [2.0]]), np.array([2.0])
         )
-        check_feasibility(problem)
+        maxent._check(problem)
 
 
 class TestGuessedDistribution:
@@ -356,6 +363,21 @@ class TestInvariances:
         )
         assert sol_s.probs == pytest.approx(sol.probs, abs=1e-9)
         assert sol_s.lambdas[1] == pytest.approx(sol.lambdas[1] / 4.0, abs=1e-7)
+
+    @pytest.mark.parametrize("k", [250, 280, 500])
+    def test_power_of_two_rescaling_is_exact(self, k):
+        """Features, targets and tolerance times 2**k give the same probs
+        and the multipliers times 2**-k, bit for bit: every SVD runs on an
+        exactly scaled copy, so no norm overflows."""
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(12, 3))
+        targets = feats.T @ rng.dirichlet(np.ones(12))
+        base = solve(MaxEntProblem(labels(12), feats, targets))
+        scaled = MaxEntProblem(labels(12), feats * 2.0**k, targets * 2.0**k)
+        sol = solve(scaled, tolerance=1e-10 * 2.0**k)
+        assert sol.iterations == base.iterations
+        assert list(sol.probs) == list(base.probs)
+        assert [math.ldexp(x, k) for x in sol.lambdas] == list(base.lambdas)
 
 
 _CERTIFICATES = (
