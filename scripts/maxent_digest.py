@@ -7,13 +7,18 @@ fourth with at most K + 1 labels), 600 per seed for the seeds 2026, 1, 2,
 third another an affine combination of its columns with the matching
 target, so two thirds are rank-deficient.  Prints one line per problem:
 seed, trial, "converged" or the error text, whether the rank warning was
-given, the iterations, and the sha256 (first 16 hex digits) of lambda0,
-lambdas, probs, residuals and entropy.  Diff the output of two trees to
-check that a change keeps every verdict and every solution:
+given, the iterations, the sha256 (first 16 hex digits) of lambda0,
+lambdas, probs, residuals and entropy, and that of the probs rounded to 12
+decimals.  A diff of two trees' output checks that a change keeps every
+verdict and every solution bit for bit; a diff without the sixth column,
+that it keeps the probs within 1e-12 (a prob within rounding of a 12th
+decimal's boundary can move the second hash too, so read the probs of a
+line that moves there):
 
     python3 scripts/maxent_digest.py > after.txt
     python3 scripts/maxent_digest.py --src ../parent/src > before.txt
     diff before.txt after.txt
+    diff <(cut -f1-5,7 before.txt) <(cut -f1-5,7 after.txt)
 """
 
 from __future__ import annotations
@@ -66,12 +71,14 @@ def lines():
             try:
                 sol = solve(MaxEntProblem(labels, feats, targets))
             except PhonodistError as exc:
-                verdict, iterations, digest = f"{type(exc).__name__}: {exc}", "-", "-"
+                verdict, iterations, digest = f"{type(exc).__name__}: {exc}", "-", "-\t-"
             else:
                 values = array("d", [sol.lambda0, *sol.lambdas, *sol.probs, *sol.residuals,
                                      sol.entropy])
                 verdict, iterations = "converged", sol.iterations
-                digest = hashlib.sha256(values.tobytes()).hexdigest()[:16]
+                rounded = array("d", [round(p, 12) for p in sol.probs])
+                digest = "\t".join(hashlib.sha256(x.tobytes()).hexdigest()[:16]
+                                   for x in (values, rounded))
         warned = any("affinely dependent" in str(w.message) for w in caught)
         yield "\t".join(map(str, (seed, trial, verdict, f"warned={int(warned)}",
                                   iterations, digest)))

@@ -264,7 +264,7 @@ def _moment_windows(n: int, alpha: float, j):
     from . import _gamma
 
     low, high = _gamma.tail_bounds(alpha, _LOG_RANGE_END)
-    log_cdfs = _gamma.Interpolant(alpha, max(low, _LOG_RANGE_END), high)
+    log_cdfs = _gamma.Interpolant(alpha, max(low, _LOG_RANGE_END), high, n - 1)
     s_lo, s_hi = log_cdfs.quantile([_LOG_RANGE_END] * 2, [False, True])
     if log_cdfs.log_p[0] >= _LOG_RANGE_END:
         s_lo = -690.0

@@ -2,20 +2,17 @@
 
 Maximizes Shannon entropy subject to normalization and fixed feature
 expectations.  The solution has the Gibbs form log p(x) = lambda0 +
-sum_k lambda_k f_k(x); the multipliers are found by minimizing the smooth
-convex dual D(lambda) = log Z(lambda) - lambda . c with a safeguarded
-Newton iteration (Hessian = feature covariance under the current Gibbs
-distribution), falling back to a gradient step when the Newton step is
-no descent direction.  ``solve`` first tests column ranges and the
-affine hull, and the Newton loop certifies targets outside the convex
-hull by a separating direction.
+sum_k lambda_k f_k(x); the multipliers minimize the smooth convex dual
+D(lambda) = log Z(lambda) - lambda . c.  ``solve`` tests column ranges
+and the affine hull, then runs a safeguarded Newton iteration (a gradient
+step where the Newton step is no descent direction) that certifies
+targets outside the convex hull by a separating direction.
 
-The module runs on the standard library, so importing it loads no numpy:
-sums are ``math.fsum``, and the small dense linear algebra (the rank
-test, the affine-hull least squares, the Newton step and the
-minimum-norm multipliers) takes its singular values from one-sided
-Jacobi: one SVD of the m x K centred features, and one of the K x K
-Hessian per Newton iterate.
+The rank of the centred features is decided once, by one SVD, and Newton
+runs in the coordinates of an orthonormal basis of their row space, so
+the multipliers are the minimum-norm ones by construction.  The module
+runs on the standard library (``math.fsum`` sums, one-sided Jacobi SVDs),
+so importing it loads no numpy.
 """
 
 from __future__ import annotations
@@ -176,12 +173,13 @@ def _pinv_solve(triples, b, cut: float) -> list[float]:
     return out
 
 
-def _check(problem: MaxEntProblem):
+def _check(problem: MaxEntProblem) -> list[list[float]]:
     """Verify the targets lie in each column's range (naming a violating
-    direction) and in the affine hull: the minimum-norm least-squares
-    residual of [1; F^T] p = [1; c] shows whether any p, of either sign,
-    meets every constraint.  Returns the centred feature columns
-    C = F - 1 mean^T and the (sigma, u, v) triples of C's SVD."""
+    direction) and in the affine hull of the feature rows; return an
+    orthonormal basis of the row space of the centred features C = F - 1
+    mean^T: C's right singular vectors with sigma > 1e-10 max(1, max|C|).
+    Any p with sum p = 1 gives F^T p = mean + C^T p, in mean plus that
+    space, so the hull test is the distance of c - mean from it."""
     feats, targets = problem.features, problem.targets
     cols = list(zip(*feats))
     for k, (col, target) in enumerate(zip(cols, targets)):
@@ -193,37 +191,21 @@ def _check(problem: MaxEntProblem):
                 f"[{lo:.6g}, {hi:.6g}] (violating hull direction: feature {k})"
             )
     if not cols:
-        return [], []
+        return []
     m = len(feats)
     means = [math.fsum(col) / m for col in cols]
     centered = [[x - mean for x in col] for col, mean in zip(cols, means)]
-    svd = _svd(centered)
-    # the minimum-norm least-squares p of [1; F^T] p = [1; c], from C =
-    # sum sigma u v^T: p = (a / m) 1 + sum u (v . y) / sigma with y = c - a
-    # mean, since every u is orthogonal to 1 and so F^T p = a mean + C^T p.
-    # Off C's row space, a mean - c is left over, and a minimizes
-    # (a - 1)^2 + |a mean - c|^2 there.  The cut is numpy lstsq's default,
-    # machine epsilon times the larger dimension, on the scale ||[1, F]||_F
-    cut = _EPS * max(m, len(cols) + 1) * math.hypot(math.sqrt(m), *chain(*cols))
-    kept = [(s, u, v) for s, u, v in svd if s > cut]
-
-    def off_row_space(x):
-        for _, _, v in kept:
-            w = _dot(v, x)
-            x = [xi - w * vi for xi, vi in zip(x, v)]
-        return x
-
-    mean_off, target_off = off_row_space(means), off_row_space(targets)
-    a = (1.0 + _dot(mean_off, target_off)) / (1.0 + _dot(mean_off, mean_off))
-    y = [c - a * mean for c, mean in zip(targets, means)]
-    p = [x + a / m for x in _pinv_solve([(s, v, u) for s, u, v in svd], y, cut)]
-    gap = max(abs(math.fsum(p) - 1.0),
-              *(abs(_dot(col, p) - target) for col, target in zip(cols, targets)))
-    size = max(1.0, max(map(abs, chain(*cols))))
-    if gap > _CERT_TOL * (size * math.fsum(map(abs, p)) + max(1.0, *map(abs, targets))):
+    cut = 1e-10 * max(1.0, max(map(abs, chain(*centered))))
+    basis = [v for sigma, _, v in _svd(centered) if sigma > cut]
+    off = list(map(sub, targets, means))
+    for v in basis:
+        w = _dot(v, off)
+        off = [x - w * y for x, y in zip(off, v)]
+    gap = math.hypot(*off)
+    if gap > _CERT_TOL * max(1.0, *map(abs, chain(targets, *cols))):
         raise InfeasibleError("targets are jointly infeasible on the simplex "
                               f"(off the affine hull by {gap:.3g})")
-    return centered, svd
+    return basis
 
 
 def logsumexp(a: Iterable[float]) -> float:
@@ -245,12 +227,11 @@ def logsumexp(a: Iterable[float]) -> float:
     return math.log1p(s) + math.log(k) + top
 
 
-def _combine(cols, y) -> list[float]:
-    """sum_k y_k cols[k]: the product F y from the K >= 1 columns of F."""
-    terms = zip(cols, y)
-    col, w = next(terms)
-    out = [w * x for x in col]
-    for col, w in terms:
+def _combine(cols, y, n: int) -> list[float]:
+    """sum_i y_i cols[i]: the product A y from the columns of an n-row A,
+    zeros when A has none."""
+    out = [0.0] * n
+    for col, w in zip(cols, y):
         out = list(map(add, out, map(mul, col, repeat(w))))
     return out
 
@@ -270,90 +251,87 @@ def _gibbs(scores: Sequence[float]) -> tuple[float, list[float]]:
     return log_z, probs
 
 
-def _dual(lambdas: Sequence[float], shifted) -> float:
-    """D(lambda) = log Z - lambda . c = log sum_x exp(lambda . (f(x) - c)),
-    from the columns of F - c."""
-    return logsumexp(_combine(shifted, lambdas))
+def _dual(beta: Sequence[float], reduced, m: int) -> float:
+    """D = log Z - lambda . c = log sum_x exp(beta . g(x)) at lambda =
+    sum_i beta_i basis_i, from the m-row reduced columns g_i = basis_i . (f - c)."""
+    return logsumexp(_combine(reduced, beta, m))
 
 
 def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     """Find the multipliers whose Gibbs distribution meets the targets.
 
     Converged when every constraint residual E[f_k] - c_k is within
-    ``tolerance`` in absolute value.  Each step first tries y = lambda and
-    y = -residual as separating directions: max_x y.(f(x) - c) < 0 rules out
-    every feasible p, for which sum_x p(x) y.(f(x) - c) = 0.
+    ``tolerance`` in absolute value.  Newton runs in the coordinates beta
+    of lambda = sum_i beta_i basis_i on _check's basis, through which
+    alone lambda moves the distribution.  Each step first tries y = lambda
+    and y = -residual as separating directions: max_x y.(f(x) - c) < 0
+    rules out every feasible p, for which sum_x p(x) y.(f(x) - c) = 0.
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
-    centered, svd = _check(problem)
+    basis = _check(problem)
     targets = problem.targets
-    m, k = len(problem.support), len(targets)
+    m, k, r = len(problem.support), len(targets), len(basis)
     if k == 0:  # no constraint: the uniform distribution
         log_m = math.log(m)
         return MaxEntSolution(-log_m, array("d"), array("d", [1.0 / m] * m), array("d"),
                               log_m, 1)
+    if r < k:
+        warnings.warn("feature columns are affinely dependent; selecting the "
+                      "minimum-norm multipliers", RuntimeWarning)
     cols = list(zip(*problem.features))
 
-    rank_tol = 1e-10 * max(1.0, max(map(abs, chain(*centered))))
-    row_space = [v for sigma, _, v in svd if sigma > rank_tol]
-    rank_deficient = len(row_space) < k
-    if rank_deficient:
-        warnings.warn(
-            "feature columns are affinely dependent; selecting the "
-            "minimum-norm multipliers",
-            RuntimeWarning,
-        )
-
-    lam = [0.0] * k
+    beta = [0.0] * r
     unchecked = math.inf  # the residual before the last step taken without a line search
     shifted = [[x - c for x in col] for col, c in zip(cols, targets)]  # f(x) - c
     slack = _CERT_TOL * max(map(abs, chain(*shifted)))
-    # the products (f_i - c_i)(f_j - c_j) of each pair of columns: the
-    # Hessian is their mean less grad_i grad_j, which cancels little when
-    # the targets lie far from the origin
-    pairs = [(i, j, list(map(mul, shifted[i], shifted[j]))) for i in range(k) for j in range(i, k)]
-    iterations = 0
+    # the reduced columns g_i = basis_i . (f - c), with beta . g = lambda .
+    # (f - c), and the products g_i g_j of each pair: the Hessian is their
+    # mean less rgrad_i rgrad_j, which cancels little when c is far from 0
+    reduced = [_combine(shifted, v, m) for v in basis]
+    pairs = [(i, j, list(map(mul, reduced[i], reduced[j]))) for i in range(r) for j in range(i, r)]
     for iterations in range(1, _MAX_ITER + 1):
-        # the Gibbs distribution of the scores lambda . (f(x) - c), whose
-        # log Z is the dual D(lambda)
-        scores = _combine(shifted, lam)
+        # the Gibbs distribution of the scores, whose log Z is the dual
+        scores = _combine(reduced, beta, m)
         d0, probs = _gibbs(scores)
         mean = [_dot(col, probs) for col in cols]
         grad = list(map(sub, mean, targets))
         worst = max(map(abs, grad))
         if worst <= tolerance:
             break
-        if (max(scores) < -slack * math.fsum(map(abs, lam))
-                or min(_combine(shifted, grad)) > slack * math.fsum(map(abs, grad))):
+        if (max(scores) < -slack * math.fsum(map(abs, _combine(basis, beta, k)))
+                or min(_combine(shifted, grad, m)) > slack * math.fsum(map(abs, grad))):
             raise InfeasibleError("targets are jointly infeasible on the simplex "
                                   f"(separated at iteration {iterations})")
-        hess = [[0.0] * k for _ in range(k)]
-        for i, j, prod in pairs:
-            hess[i][j] = hess[j][i] = _dot(prod, probs) - grad[i] * grad[j]
-        # the minimum-norm Newton step, from the singular values that
-        # Jacobi can tell from zero
-        svd = _svd(hess)
-        step = [-x for x in _pinv_solve(svd, grad, _STEP_RCOND * max(s for s, _, _ in svd))]
-        slope = _dot(grad, step)
+        # the minimum-norm Newton step on the r x r Hessian, from the
+        # singular values that Jacobi can tell from zero
+        rgrad = [_dot(v, grad) for v in basis]
+        step = []
+        if basis:
+            hess = [[0.0] * r for _ in range(r)]
+            for i, j, prod in pairs:
+                hess[i][j] = hess[j][i] = _dot(prod, probs) - rgrad[i] * rgrad[j]
+            svd = _svd(hess)
+            step = [-x for x in _pinv_solve(svd, rgrad, _STEP_RCOND * max(s for s, _, _ in svd))]
+        slope = _dot(rgrad, step)
         if not (math.isfinite(slope) and slope < 0):
-            step = [-g for g in grad]
-            slope = -_dot(grad, grad)
+            step = [-g for g in rgrad]
+            slope = -_dot(rgrad, rgrad)
         # backtracking line search on the dual
         if -slope <= 1e-13 * max(1.0, abs(d0)):
             # predicted decrease is below the dual's floating-point
             # resolution; inside the Newton basin, take the full step.
             # Two such steps in a row that do not lower the residual only
-            # move lambda in its last bits, and would repeat until _MAX_ITER
+            # move beta in its last bits, and would repeat until _MAX_ITER
             if worst >= unchecked:
                 raise NumericalError(f"no convergence: lambda stuck at iteration {iterations} "
                                      f"with residual {worst:.3g}")
             unchecked = worst
-            lam = [x + s for x, s in zip(lam, step)]
+            beta = [x + s for x, s in zip(beta, step)]
             continue
         t = 1.0
         while t > 1e-14:
-            if _dual([x + t * s for x, s in zip(lam, step)], shifted) <= d0 + 1e-4 * t * slope:
+            if _dual([x + t * s for x, s in zip(beta, step)], reduced, m) <= d0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         if t <= 1e-14:
@@ -362,25 +340,16 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
                 break
             raise NumericalError(f"line search stalled with residual {worst:.3g}")
         unchecked = math.inf
-        lam = [x + t * s for x, s in zip(lam, step)]
+        beta = [x + t * s for x, s in zip(beta, step)]
     else:
         raise NumericalError(f"no convergence within {_MAX_ITER} iterations")
 
-    if rank_deficient:
-        # the distribution depends on lambda only through C lambda: the
-        # minimum-norm multipliers are lambda's projection on C's row space
-        projected = [0.0] * k
-        for v in row_space:
-            w = _dot(v, lam)
-            projected = [x + w * y for x, y in zip(projected, v)]
-        lam = projected
-
-    d, probs = _gibbs(_combine(shifted, lam))
+    lam = _combine(basis, beta, k)
     return MaxEntSolution(
-        lambda0=-(d + _dot(lam, targets)),
+        lambda0=-(d0 + _dot(lam, targets)),
         lambdas=array("d", lam),
         probs=array("d", probs),
-        residuals=array("d", (_dot(col, probs) - c for col, c in zip(cols, targets))),
+        residuals=array("d", grad),
         entropy=-math.fsum(p * math.log(p) for p in probs),
         iterations=iterations,
     )

@@ -299,6 +299,27 @@ class TestOrderStatisticMoments:
             assert summary.mean[rank - 1] == pytest.approx(mean, rel=1e-10, abs=0), rank
             assert summary.sd[rank - 1] == pytest.approx(sd, rel=1e-10, abs=0), rank
 
+    @pytest.mark.parametrize("alpha", [1e3, 1e6, 1e9])
+    def test_large_concentrations_against_mpmath(self, alpha):
+        # toward the ceiling ln G_(j) narrows to about 1/sqrt(alpha), and
+        # the sd falls to about 1e-5 of the mean at 1e9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = order_statistic_moments(DirichletSpec(11, alpha))
+        for rank in (1, 6, 11):
+            mean, sd = mp_rank_moments(11, alpha, rank)
+            assert summary.mean[rank - 1] == pytest.approx(mean, rel=1e-10, abs=0), rank
+            assert summary.sd[rank - 1] == pytest.approx(sd, rel=1e-10, abs=0), rank
+
+    @pytest.mark.parametrize("n", [1500, 2000])
+    def test_windows_at_the_concentration_ceiling(self, n):
+        # at alpha = 1e10 the interpolated ln Q erred by about 0.1 at the
+        # default node spacing, which n - j multiplies in phi, and the
+        # windows lost mass: `reconstruct --n 2000 --coeff-a 1e10
+        # --exponent-b 0` exited 4 with the means summing to 0.99975
+        summary = order_statistic_moments(DirichletSpec(n, 1e10))
+        assert math.fsum(summary.mean) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("n", [2, 20, 2000])
     def test_at_the_concentration_floor_against_mpmath(self, n):
         # the top rank's sd is the worst conditioned value there

@@ -96,6 +96,13 @@ class TestFeasibility:
         with pytest.raises(InfeasibleError, match="affine hull"):
             maxent._check(problem)
 
+    def test_hull_gap_is_the_distance_from_the_affine_hull(self):
+        # the rows lie on the line x = y through their mean (1, 1); the
+        # target (1.5, 0.5) is (0.5, -0.5) from it, at right angles
+        problem = MaxEntProblem(labels(3), [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1.5, 0.5])
+        with pytest.raises(InfeasibleError, match=re.escape("off the affine hull by 0.707)")):
+            maxent._check(problem)
+
     def test_boundary_target_is_feasible(self):
         problem = MaxEntProblem(
             labels(3), np.array([[0.0], [1.0], [2.0]]), np.array([2.0])
@@ -244,7 +251,7 @@ class TestSolve:
 
 def test_one_gibbs_evaluation_per_iterate(monkeypatch):
     """Apart from the line-search trials (the _dual calls), solve takes
-    log Z once per iterate and once for the returned solution."""
+    log Z once per iterate: the returned solution is the last iterate's."""
     data = files("phonodist") / "data"
     lexicon = io.load_lexicon(str(data / "toy_a.lex"))
     table = corpus.build_feature_table(lexicon, io.load_incidence(str(data / "toy_incidence.tsv")))
@@ -263,7 +270,7 @@ def test_one_gibbs_evaluation_per_iterate(monkeypatch):
     monkeypatch.setattr(maxent, "_dual", counted("dual", maxent._dual))
     sol = solve(problem)
     assert sol.iterations > 1
-    assert calls["logsumexp"] - calls["dual"] == sol.iterations + 1
+    assert calls["logsumexp"] - calls["dual"] == sol.iterations
 
 
 class TestDual:
@@ -418,38 +425,51 @@ def _oracle_case(rng, kind, few_labels):
     return feats, targets
 
 
+def _checked_verdict(optimize, feats, targets):
+    """solve's verdict on one case, checked against HiGHS: InfeasibleError
+    exactly when no p >= 0 has sum p = 1 and F^T p = c, and residuals within
+    1e-10 otherwise."""
+    m = feats.shape[0]
+    lp = optimize.linprog(
+        np.zeros(m),
+        A_eq=np.vstack([np.ones(m), feats.T]),
+        b_eq=np.concatenate([[1.0], targets]),
+        bounds=(0, None),
+        method="highs",
+    )
+    problem = MaxEntProblem(labels(m), feats, targets)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve(problem)
+    except InfeasibleError as exc:
+        assert not lp.success, (feats, targets, exc)
+        return next(name for name, phrase in _CERTIFICATES if phrase in str(exc))
+    assert lp.success, (feats, targets)
+    assert np.max(np.abs(sol.residuals)) <= 1e-10
+    return "converged"
+
+
 def test_feasibility_verdicts_match_a_linear_program():
     """solve raises InfeasibleError exactly when HiGHS finds no p >= 0 with
-    sum p = 1 and F^T p = c, and converges otherwise: no target stalls."""
+    sum p = 1 and F^T p = c, and converges otherwise: no target stalls.
+    Every case is checked again with a near copy of one column, times
+    1 + 1e-13 N(0, 1) entry by entry, under that column's target: the copy's
+    noise must not read as a direction off the affine hull."""
     optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(2026)
+    rng, noise = np.random.default_rng(2026), np.random.default_rng([2026, 7])
     kinds = ("interior", "face", "vertex", "outside", "box")
     verdicts = {}
     for trial in range(600):
         kind, few_labels = kinds[trial % len(kinds)], trial % 4 == 0
         feats, targets = _oracle_case(rng, kind, few_labels)
-        m = feats.shape[0]
-        lp = optimize.linprog(
-            np.zeros(m),
-            A_eq=np.vstack([np.ones(m), feats.T]),
-            b_eq=np.concatenate([[1.0], targets]),
-            bounds=(0, None),
-            method="highs",
-        )
-        problem = MaxEntProblem(labels(m), feats, targets)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sol = solve(problem)
-        except InfeasibleError as exc:
-            assert not lp.success, (kind, feats, targets, exc)
-            verdict = next(name for name, phrase in _CERTIFICATES if phrase in str(exc))
-        else:
-            assert lp.success, (kind, feats, targets)
-            assert np.max(np.abs(sol.residuals)) <= 1e-10
-            verdict = "converged"
+        verdict = _checked_verdict(optimize, feats, targets)
         key = (kind, few_labels, verdict)
         verdicts[key] = verdicts.get(key, 0) + 1
+        m, k = feats.shape
+        near = feats[:, trial % k] * (1.0 + 1e-13 * noise.normal(size=m))
+        _checked_verdict(optimize, np.column_stack([feats, near]),
+                         np.append(targets, targets[trial % k]))
     # every certificate is exercised, with few labels and with many
     for few_labels in (True, False):
         for certificate in ("converged", "column", "affine", "separated"):
