@@ -1,9 +1,14 @@
-"""Regularized incomplete gamma and beta ratios in numpy and the stdlib.
+"""The order-statistic moments and bands of a symmetric Dirichlet, and
+the regularized incomplete gamma and beta ratios behind them, in numpy
+and the stdlib.
 
 Only dirichlet's order-statistic functions import this module, inside
-themselves.  For Gamma(a, 1) with a scalar a, log_pq gives (ln P, ln Q)
-at t = e**s, each accurate to relative precision in its own tail: it
-computes the smaller tail directly and the other as log1p(-exp(.)).
+themselves, each through one entry point: order_statistic_moments, a
+fixed-rule quadrature of every rank's normalized-gamma moments, and
+order_statistic_bands, an inversion of the iid-Beta order statistics.
+For Gamma(a, 1) with a scalar a, log_pq gives (ln P, ln Q) at t = e**s,
+each accurate to relative precision in its own tail: it computes the
+smaller tail directly and the other as log1p(-exp(.)).
 The methods follow DiDonato & Morris (1986, ACM TOMS 12:377) and Gil,
 Segura & Temme (2012, SIAM J. Sci. Comput. 34:A2965):
 
@@ -16,16 +21,17 @@ Segura & Temme (2012, SIAM J. Sci. Comput. 34:A2965):
   coefficients are generated once from their Taylor series in eta.
 
 Interpolant is a cheap stand-in for log_pq that places the moment
-windows.  order_statistic_quantiles inverts the iid-Beta order
-statistics: a binomial tail for the Beta(j, n-j+1) step, then the ratio
-I_x(a, b) from Numerical Recipes' betacf (its prefactor in the
-Stirling-difference form of DiDonato & Morris' brcomp) or, for a + b
-above _BETA_CF_MAX, from the gamma mixture E[P(a, G x/(1-x))] with
-G ~ Gamma(b); above a = _CORNISH_FISHER_A, where log_pq is not checked,
-the Cornish-Fisher quantile of logit x is already within 1e-14.  No
-element's value depends on the array it is computed in: the series stop
-where their terms no longer change any sum, and the fractions take a
-number of steps fixed by the parameters alone.
+windows; its nodes span the range where P, Q > 1e-300.
+order_statistic_quantiles inverts the iid-Beta order statistics at the
+exact tail each bound cuts off: a binomial tail for the Beta(j, n-j+1)
+step, then the ratio I_x(a, b) from Numerical Recipes' betacf (its
+prefactor in the Stirling-difference form of DiDonato & Morris' brcomp)
+or, for a + b above _BETA_CF_MAX, from the gamma mixture
+E[P(a, G x/(1-x))] with G ~ Gamma(b); above a = _CORNISH_FISHER_A, where
+log_pq is not checked, the Cornish-Fisher quantile of logit x is already
+within 1e-14.  No element's value depends on the array it is computed
+in: the series stop where their terms no longer change any sum, and the
+fractions take a number of steps fixed by the parameters alone.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import NumericalError
 
 _EULER = 0.5772156649015329
 _LN_SQRT_2PI = 0.9189385332046728
@@ -49,10 +57,15 @@ _INTERPOLANT_STEP = 0.08  # node spacing of Interpolant in v
 
 @functools.lru_cache(maxsize=1)
 def gauss_legendre():
-    """_NODES Gauss-Legendre nodes on [0, 1] and their weights."""
+    """_NODES Gauss-Legendre nodes on [0, 1] and their weights.  leggauss
+    takes them from an eigenvalue solve, whose LinAlgError is raised as
+    NumericalError."""
     from numpy.polynomial.legendre import leggauss
 
-    x, w = leggauss(_NODES)
+    try:
+        x, w = leggauss(_NODES)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"numerical failure (LinAlgError: {exc})") from None
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -337,19 +350,6 @@ class Interpolant:
         y = g * g * ((1.0 + 2.0 * f) * y0 + f * d0) + f * f * ((3.0 - 2.0 * f) * y1 - g * d1)
         return y[0], y[1] - np.exp(s)
 
-    def quantile(self, log_tail, upper):
-        """s with ln P(s) = log_tail, or ln Q(s) where upper: linear in the
-        node values, then two Newton steps on the interpolant."""
-        log_tail = np.asarray(log_tail, dtype=float)
-        s = np.where(upper, np.interp(-log_tail, -self.log_q, self.s),
-                     np.interp(log_tail, self.log_p, self.s))
-        for _ in range(2):
-            log_p, log_q = self(s)
-            h_p, h_q = self.slopes(s, log_p, log_q)
-            s = s - np.where(upper, (log_q - log_tail) / -h_q, (log_p - log_tail) / h_p)
-            s = np.clip(s, self.s[0], self.s[-1])
-        return s
-
 
 def _softplus(z):
     """ln(1 + e**z), elementwise."""
@@ -574,16 +574,13 @@ def _normal_quantile(log_tail):
 
 
 def _log_normal_tail(z):
-    """ln Phi(-z), elementwise: by erfc below z = 37 (Phi(-37) = 6e-300),
-    above it by Mills' ratio to 1 - z**-2 + 3 z**-4, within 15 z**-6."""
-    out = []
-    for v in np.ravel(z).tolist():
-        if v < 37.0:
-            out.append(math.log(0.5 * math.erfc(v / math.sqrt(2.0))))
-        else:
-            w = 1.0 / (v * v)
-            out.append(-0.5 * v * v - math.log(v) - _LN_SQRT_2PI + math.log1p(w * (3.0 * w - 1.0)))
-    return np.reshape(out, np.shape(z))
+    """ln Phi(-z), elementwise, by erfc, which holds Phi(-z) to relative
+    precision up to z = 37 (6e-300).  The bands take z at ln min(U, 1 - U)
+    for a Beta(j, n-j+1) quantile U at a tail (1 - level)/2 >= 2**-54, so
+    that |ln min(U, 1 - U)| <= 37.4 + ln n and z stays below about 11 for
+    any n that fits in memory."""
+    return np.reshape([math.log(0.5 * math.erfc(v / math.sqrt(2.0))) for v in np.ravel(z).tolist()],
+                      np.shape(z))
 
 
 def _polished_normal_quantile(log_tail):
@@ -615,10 +612,11 @@ def _logit_beta_start(a, b, z):
     return psi_a - psi_b + sd * (z + (tetra_a - tetra_b) / sd ** 3 * (z * z - 1.0) / 6.0)
 
 
-def order_statistic_quantiles(n: int, a: float, j, q):
-    """Quantiles q of the j-th smallest of n iid Beta(a, (n-1) a) draws,
-    elementwise in the integer array j and the levels q, clamped to
-    [smallest normal, 1], for a from 1e-100 to 1e100.
+def order_statistic_quantiles(n: int, a: float, j, tail, upper):
+    """Quantiles of the j-th smallest of n iid Beta(a, (n-1) a) draws that
+    cut ``tail`` off the lower side, or off the upper side where ``upper``,
+    elementwise in the integer array j, clamped to [smallest normal, 1],
+    for a from 1e-100 to 1e100.
 
     The j-th smallest has CDF I_F(x)(j, n-j+1), so U, the Beta(j, n-j+1)
     quantile, comes first, then x with I_x(a, (n-1) a) = U, each solved
@@ -628,9 +626,8 @@ def order_statistic_quantiles(n: int, a: float, j, q):
     sd = O(a**-1/2), at most about 1e-14 there.
     """
     j = np.asarray(j, dtype=float)
-    q = np.broadcast_to(np.asarray(q, dtype=float), j.shape)
-    upper = q > 0.5
-    log_q = np.log(np.where(upper, 1.0 - q, q))
+    upper = np.broadcast_to(upper, j.shape)
+    log_q = np.log(np.broadcast_to(np.asarray(tail, dtype=float), j.shape))
     start = _logit_beta_start(j, n + 1.0 - j, np.where(upper, 1.0, -1.0) * _normal_quantile(log_q))
     y_u = _beta_logit_quantile(_IntegerBeta(n, j), log_q, upper, start)
     log_u, log_v = -_softplus(-y_u), -_softplus(y_u)
@@ -644,3 +641,199 @@ def order_statistic_quantiles(n: int, a: float, j, q):
         y = _beta_logit_quantile(beta, log_tail, upper,
                                  _logit_beta_start(a, b, sign * _normal_quantile(log_tail)))
     return np.clip(np.exp(-_softplus(-y)), _SMALLEST_NORMAL, 1.0)
+
+
+# The bands take concentrations from 1e-100 to 1e100, which hold every
+# one dirichlet.solve_alpha returns (e**-208.4 to e**208.4): below, the
+# start of the inversion overflows; above, its skewness term underflows.
+_MIN_BAND_ALPHA, _MAX_BAND_ALPHA = 1e-100, 1e100
+
+
+def order_statistic_bands(n: int, alpha: float, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) of every rank's central ``level`` band, rank 1 first,
+    in one order_statistic_quantiles call that cuts (1 - level)/2 off each
+    side; NumericalError where the concentration or the inversion fails."""
+    if not _MIN_BAND_ALPHA <= alpha <= _MAX_BAND_ALPHA:
+        raise NumericalError(
+            f"concentration {alpha:.3g} is outside [{_MIN_BAND_ALPHA:g}, {_MAX_BAND_ALPHA:g}], "
+            f"where the order-statistic quantiles are computed")
+    smallest = np.arange(n, 0, -1)  # order-statistic index of each rank
+    try:
+        bands = order_statistic_quantiles(n, alpha, np.tile(smallest, 2), (1.0 - level) / 2.0,
+                                          np.repeat([False, True], n))
+    except ArithmeticError:
+        raise NumericalError(f"quantile inversion failed at level={level}") from None
+    return bands[:n], bands[n:]
+
+
+# The moment engine works in s = ln t.  Each rank's window holds its first-
+# and second-moment integrands down to exp(-_DROP) of their peaks; the 128
+# nodes of gauss_legendre span it, for _BLOCK ranks at a time (128 KB
+# arrays).
+# As (n - 1) alpha falls to 0 the top rank's variance becomes a difference
+# of numbers near 1: at 5e-4 its sd is off mpmath by up to 2e-10, at
+# _MIN_SPREAD by 3e-12.  The log density at a node carries a rounding error
+# of about 1e-16 sqrt(alpha), 1e-11 at _MAX_ALPHA.
+_DROP, _BLOCK = 50.0, 128
+_MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
+_LOG_RANGE_END = math.log(1e-300)
+
+
+def _phi(n: int, alpha: float, j, p, s, log_p, log_q):
+    """phi = ln(t**p * density of ln G_(j)) + const at s = ln t, given
+    (ln P, ln Q) of Gamma(alpha, 1) there.
+
+    G_(j) is the j-th smallest of n iid Gamma(alpha, 1) draws; phi is
+    concave in s.
+    """
+    x = s - np.log(alpha + p)
+    return (alpha + p) * (x - np.expm1(x)) + (j - 1) * log_p + (n - j) * log_q
+
+
+def _log_integrand(n: int, alpha: float, j, p, s, log_cdfs):
+    """phi, phi' and phi'' in s (see _phi), with ln P, ln Q and their
+    slopes from the Interpolant log_cdfs."""
+    t = np.exp(s)
+    log_p, log_q = log_cdfs(s)
+    h_p, h_q = log_cdfs.slopes(s, log_p, log_q)  # d ln P/ds, -d ln Q/ds
+    phi = _phi(n, alpha, j, p, s, log_p, log_q)
+    d1 = alpha + p - t + (j - 1) * h_p - (n - j) * h_q
+    d2 = -t + (j - 1) * h_p * (alpha - t - h_p) - (n - j) * h_q * (alpha - t + h_q)
+    return phi, d1, d2
+
+
+def _moment_windows(n: int, alpha: float, j):
+    """Windows [low, high] in s: from where the first-moment integrand has
+    fallen by _DROP left of its peak to where the second-moment one has
+    fallen by _DROP right of its own, inside the nodes of an Interpolant
+    of ln P and ln Q that spans the range where P, Q > 1e-300.
+
+    phi is taken at those nodes, which brackets every peak between the
+    neighbours of its best node and every edge between two nodes.  Newton
+    steps on phi' inside the bracket then place the peaks, and Newton
+    steps on phi - peak + _DROP, which, phi being concave, stay outside
+    the edge once they have crossed it, the edges, started by linear
+    interpolation between their nodes.
+    """
+    low, high = tail_bounds(alpha, _LOG_RANGE_END)
+    log_cdfs = Interpolant(alpha, max(low, _LOG_RANGE_END), high, n - 1)
+    grid = log_cdfs.s
+    s_lo, s_hi = grid[0], grid[-1]
+    p, side = np.array([[1.0], [2.0]]), np.array([[-1.0], [1.0]])
+    log_p, log_q = log_cdfs(grid)
+    at = np.arange(grid.size)
+    parts = []
+    for b in (slice(k, k + 32) for k in range(0, n, 32)):  # 32 ranks keep phi small
+        phi = _phi(n, alpha, j[b][:, None], p[..., None], grid, log_p, log_q)
+        k = np.argmax(phi, axis=-1)
+        below = phi < np.take_along_axis(phi, k[..., None], -1) - _DROP
+        # the last node below the drop left of the best node, the first right of it
+        cross = np.where(side == -1.0, np.where(below & (at < k[..., None]), at, -1).max(-1),
+                         np.where(below & (at > k[..., None]), at, grid.size).min(-1))
+        near = np.clip(cross, 0, grid.size - 1)
+        far = np.clip(cross - side.astype(int), 0, grid.size - 1)
+        parts.append((k, cross, near, far, np.take_along_axis(phi, near[..., None], -1)[..., 0],
+                      np.take_along_axis(phi, far[..., None], -1)[..., 0]))
+    best, cross, near, far, phi_near, phi_far = (np.concatenate(v, axis=-1) for v in zip(*parts))
+    s = grid[best]
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, grid.size - 1)]
+    for _ in range(200):
+        peak, d1, d2 = _log_integrand(n, alpha, j, p, s, log_cdfs)
+        lo, hi = np.where(d1 > 0, s, lo), np.where(d1 > 0, hi, s)
+        # within 0.05 sd of the peak, or pinned to an end of the range
+        done = (d1 * d1 <= -2.5e-3 * d2) | (hi - lo <= 1e-9 * (1.0 + np.abs(s)))
+        if done.all():
+            break
+        step = s - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0)
+        s = np.where(done, s, np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2.0))
+    else:
+        raise NumericalError(f"moment windows did not converge at n={n}, alpha={alpha:.3g}")
+    # linear interpolation of phi between the two nodes around each edge
+    share = np.clip((peak - _DROP - phi_near) / np.where(phi_far > phi_near, phi_far - phi_near, 1.0),
+                    0.0, 1.0)
+    edge = np.where((cross < 0) | (cross >= grid.size), np.where(side < 0, s_lo, s_hi),
+                    grid[near] + share * (grid[far] - grid[near]))
+    for _ in range(8):
+        phi, d1, _ = _log_integrand(n, alpha, j, p, edge, log_cdfs)
+        # an edge whose slope points away from its peak is pinned at a range end
+        gap = np.where(d1 * side < 0, phi - peak + _DROP, 0.0)
+        if (np.abs(gap) <= 0.1).all():
+            break
+        edge = np.clip(edge - gap / d1, s_lo, s_hi)
+    return edge[0], edge[1]
+
+
+def _gamma_moments(n: int, alpha: float, j, low, high):
+    """Per row: the mean m of G_(j) within its window [low, high], the
+    probability p of the window, and Var G_(j) / (p m**2) + p.
+
+    The nodes give m and the variance about it within the window (the
+    density is needed only up to a constant, and each row is scaled by its
+    largest term); the Beta(j, n-j+1) law of P(G_(j)) gives the
+    probabilities of falling below, inside and above the window.
+    """
+    u, w = gauss_legendre()
+    s = low[:, None] + (high - low)[:, None] * u
+    # one evaluation for the nodes and, in the last two columns, the window ends
+    log_p, log_q = log_pq(alpha, np.column_stack([s, low, high]))
+    (log_p, log_p_low, log_p_high), (log_q, log_q_low, log_q_high) = (
+        np.split(part, [u.size, u.size + 1], axis=1) for part in (log_p, log_q))
+    log_density = _phi(n, alpha, j[:, None], 0.0, s, log_p, log_q)
+
+    def log_sum(log_terms, factor=1.0):
+        top = log_terms.max(axis=1)
+        return top + np.log((w * factor * np.exp(log_terms - top[:, None])).sum(axis=1))
+
+    log_mass = log_sum(log_density)
+    log_mean = log_sum(log_density + s) - log_mass
+    # (t / mean - 1)**2 as exp(2 max(gap, 0)) * expm1(-|gap|)**2, free of cancellation
+    gap = s - log_mean[:, None]
+    spread = np.exp(log_sum(log_density + 2.0 * np.maximum(gap, 0.0), np.expm1(-np.abs(gap)) ** 2)
+                    - log_mass)
+    # G_(j) < e**low when at least j of the n draws are, G_(j) > e**high
+    # when at least n - j + 1 are
+    tails, rests = np.exp(binomial_tail(
+        n, np.concatenate([j, n - j + 1]), np.concatenate([log_p_low, log_q_high])[:, 0],
+        np.concatenate([log_q_low, log_p_high])[:, 0]))
+    below, above = np.split(tails, 2)
+    inside = np.split(rests, 2)[0] - above
+    return np.exp(log_mean), inside, spread + below + above
+
+
+def order_statistic_moments(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, sd) of every rank of the symmetric Dirichlet (n, alpha),
+    rank 1 first, from the moments of the j-th smallest G_(j) of n iid
+    Gamma(alpha, 1) (see dirichlet.order_statistic_moments).
+
+    Each G_(j) is summed over nodes in its own window of s = ln t (see
+    _moment_windows), one row of a node matrix of _BLOCK ranks, so that
+    log_pq runs once per matrix.  Variances are taken over the squared
+    window mean, so that sds far below 1e-154 stay finite.  A
+    concentration outside [_MIN_SPREAD / (n - 1), _MAX_ALPHA], or a result
+    that fails the sum identities of the means and second moments, raises
+    NumericalError.
+    """
+    floor = _MIN_SPREAD / (n - 1)
+    if not floor <= alpha <= _MAX_ALPHA:
+        side, bound = ("below", floor) if alpha < floor else ("above", _MAX_ALPHA)
+        raise NumericalError(
+            f"concentration {alpha:.3g} is {side} {bound:.3g}, where the order-statistic "
+            f"moments of n = {n} components miss their error bound")
+    j = np.arange(1.0, n + 1.0)
+    low, high = _moment_windows(n, alpha, j)
+    blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]
+    window_mean, inside, rest = (np.concatenate(part) for part in zip(
+        *(_gamma_moments(n, alpha, j[b], low[b], high[b]) for b in blocks)))
+    scale = n * alpha
+    means = (inside * window_mean / scale)[::-1]
+    variance = inside * (rest - inside / scale) / (scale * (scale + 1.0))  # over window_mean**2
+    sds = (window_mean * np.sqrt(np.maximum(variance, 0.0)))[::-1]
+    # both identities are exact: sum of means 1, sum of E[X**2] (alpha+1)/(n alpha+1)
+    total = math.fsum(means)
+    second = math.fsum(means * means + sds * sds) * (scale + 1.0) / (alpha + 1.0)
+    if not (np.isfinite((means, sds)).all() and abs(total - 1.0) <= 1e-12
+            and abs(second - 1.0) <= 1e-10):
+        raise NumericalError(
+            f"order-statistic moments failed at alpha={alpha:.3g}: means sum to {total!r} "
+            f"and second moments to {second!r} of (alpha+1)/(n alpha+1), not 1")
+    return means, sds

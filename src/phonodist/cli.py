@@ -320,16 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_failures() -> tuple[type[Exception], ...]:
-    """Exceptions that end a run with exit 4 besides the package's own.
-
-    numpy's LinAlgError counts only once numpy is loaded, which only
-    reconstruct does: its Gauss-Legendre nodes come from numpy's leggauss.
-    """
-    linalg = sys.modules.get("numpy.linalg")
-    return (OverflowError, FloatingPointError) + ((linalg.LinAlgError,) if linalg else ())
-
-
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.  While it runs, a
     warning printed to stderr is its message alone on one line; hooks the
@@ -343,7 +333,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         numerical = isinstance(exc, (InfeasibleError, NumericalError))
         return _EXIT_NUMERICAL if numerical else _EXIT_INGEST
-    except _numerical_failures() as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return _EXIT_NUMERICAL
     finally:

@@ -235,6 +235,17 @@ class TestReconstruct:
         means = [float(l.split("\t")[1]) for l in out.strip().split("\n")[3:]]
         assert sum(means) == pytest.approx(1.0, abs=1e-6)
 
+    def test_level_next_to_one_cuts_its_exact_tails(self, capsys):
+        # (1 + level)/2 rounds to 1 here, an upper tail of 0; each band
+        # cuts off the exact tail (1 - level)/2 = 5.6e-17 instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "reconstruct", "--n", "11", "--gamma", "0.9999999999999999")
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.strip().split("\n")[3:]]
+        assert len(rows) == 11
+        assert all(0.0 <= float(row[3]) <= float(row[4]) <= 1.0 for row in rows)
+
     def test_deterministic_output_files(self, capsys, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert cli.main(["reconstruct", "--n", "17", "-o", str(a)]) == 0

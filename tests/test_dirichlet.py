@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from phonodist import _gamma, dirichlet
+from phonodist import _gamma
 from phonodist.dirichlet import (
     AlphaScalingLaw,
     DirichletSpec,
@@ -42,10 +42,11 @@ def digamma_oracle(x: float) -> float:
     return s + acc
 
 
-def quantile(spec: DirichletSpec, j: int, q: float) -> float:
-    """The q quantile of the j-th smallest of n iid Beta(alpha, (n-1) alpha)
-    draws, by the engine order_statistic_bands calls."""
-    return float(_gamma.order_statistic_quantiles(spec.n, spec.alpha, np.array([j]), q)[0])
+def quantile(spec: DirichletSpec, j: int, tail: float, upper: bool = False) -> float:
+    """The quantile of the j-th smallest of n iid Beta(alpha, (n-1) alpha)
+    draws that cuts ``tail`` off its lower side, or off its upper side
+    where ``upper``, by the engine order_statistic_bands calls."""
+    return float(_gamma.order_statistic_quantiles(spec.n, spec.alpha, np.array([j]), tail, upper)[0])
 
 
 def iid_order_statistic_pdf(spec: DirichletSpec, r: int, x: float) -> float:
@@ -350,7 +351,7 @@ class TestOrderStatisticMoments:
     def test_self_check_catches_truncated_windows(self, monkeypatch):
         # windows cut where the integrands have fallen by only e**-3 lose
         # mass; the sum and second-moment identities must refuse the curve
-        monkeypatch.setattr(dirichlet, "_DROP", 3.0)
+        monkeypatch.setattr(_gamma, "_DROP", 3.0)
         with pytest.raises(NumericalError, match="means sum to"):
             order_statistic_moments(DirichletSpec(30, predict_alpha(30)))
 
@@ -364,26 +365,26 @@ class TestOrderStatisticQuantile:
     def test_limits(self):
         spec = DirichletSpec(4, 1.5)
         assert quantile(spec, 2, 1e-9) < 1e-3
-        tail = [quantile(spec, 3, 1.0 - 10.0 ** -k) for k in (3, 9, 15)]
+        tail = [quantile(spec, 3, 10.0 ** -k, upper=True) for k in (3, 9, 15)]
         assert np.all(np.diff(tail) > 0)
         assert tail[-1] > 0.98
 
     def test_monotone_in_q(self):
         spec = DirichletSpec(6, 0.8)
         qs = np.linspace(0.01, 0.99, 25)
-        values = [quantile(spec, 3, q) for q in qs]
+        values = [quantile(spec, 3, min(q, 1.0 - q), q > 0.5) for q in qs]
         assert np.all(np.diff(values) > 0)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_matches_density_quadrature(self, r):
         # the iid density integrated up to the quantile gives back its level
         spec = DirichletSpec(5, 0.5)
-        for q in (0.05, 0.5, 0.95):
-            x = quantile(spec, r, q)
+        for tail, upper in ((0.05, False), (0.5, False), (0.05, True)):
+            x = quantile(spec, r, tail, upper)
             mass, _ = integrate.quad(
                 lambda t: iid_order_statistic_pdf(spec, r, t), 0, x, limit=400, points=[0.0]
             )
-            assert mass == pytest.approx(q, abs=1e-8), q
+            assert mass == pytest.approx(1.0 - tail if upper else tail, abs=1e-8), (tail, upper)
 
     def test_simulation_oracle(self):
         # empirical 95th percentile of the 3rd smallest of 5 iid draws from
@@ -394,7 +395,7 @@ class TestOrderStatisticQuantile:
         draws = rng.beta(spec.alpha, (spec.n - 1) * spec.alpha, size=(10**6, 5))
         third = np.sort(draws, axis=1)[:, 2]
         empirical = np.quantile(third, 0.95)
-        x = quantile(spec, 3, 0.95)
+        x = quantile(spec, 3, 0.05, upper=True)
         # MC standard error of the quantile via the density at x
         density = iid_order_statistic_pdf(spec, 3, x)
         se = math.sqrt(0.95 * 0.05 / 10**6) / density
@@ -410,7 +411,7 @@ class TestOrderStatisticBands:
         for rank in range(1, n + 1):
             j = n - rank + 1
             assert low[rank - 1] == quantile(spec, j, (1.0 - level) / 2.0)
-            assert high[rank - 1] == quantile(spec, j, (1.0 + level) / 2.0)
+            assert high[rank - 1] == quantile(spec, j, (1.0 - level) / 2.0, upper=True)
 
     @pytest.mark.parametrize("level", [0.0, -0.2, 1.0, 1.5, math.nan])
     def test_level_outside_the_open_unit_interval_raises(self, level):

@@ -22,10 +22,11 @@ ALPHAS = [5e-3 / 1999, 1e-4, 3e-3, 0.0157, 0.157, 0.5, 0.77, 0.999, 1.0, 2.0, 7.
           24.9, 25.0, 30.0, 100.0, 1234.5, 1e5, 1e8, 1e10]
 
 
-def quantile(spec, j, q):
-    """The q quantile of the j-th smallest of n iid Beta(alpha, (n-1) alpha)
-    draws, by the engine order_statistic_bands calls."""
-    return float(_gamma.order_statistic_quantiles(spec.n, spec.alpha, np.array([j]), q)[0])
+def quantile(spec, j, tail, upper=False):
+    """The quantile of the j-th smallest of n iid Beta(alpha, (n-1) alpha)
+    draws that cuts ``tail`` off its lower side, or off its upper side
+    where ``upper``, by the engine order_statistic_bands calls."""
+    return float(_gamma.order_statistic_quantiles(spec.n, spec.alpha, np.array([j]), tail, upper)[0])
 
 
 def mp_log_tails(a, s):
@@ -125,15 +126,16 @@ def mp_order_tails(n, alpha, r, x):
             mpmath.betainc(r, n - r + 1, u, 1, regularized=True), u, v)
 
 
-def mp_relative_error(n, alpha, r, q, x):
+def mp_relative_error(n, alpha, r, tail, upper, x):
     """(x - x*) / x* to first order, x* the exact quantile that
-    order_statistic_quantiles inverts: x* has I_F(x*)(r, n-r+1) = q, with F
-    the CDF of Beta(alpha, (n-1) alpha), so x - x* = (G(x) - q) / G'(x)
-    for G(x) = I_F(x)(r, n-r+1); each tail is taken on its own side."""
+    order_statistic_quantiles inverts: x* has I_F(x*)(r, n-r+1) = tail, or
+    1 - tail where upper, with F the CDF of Beta(alpha, (n-1) alpha), so
+    x - x* = (G(x) - G(x*)) / G'(x) for G(x) = I_F(x)(r, n-r+1); each tail
+    is taken on its own side."""
     with mpmath.workdps(40):
-        a, b, x, q = mpmath.mpf(alpha), (n - 1) * mpmath.mpf(alpha), mpmath.mpf(x), mpmath.mpf(q)
-        lower, upper, u, v = mp_order_tails(n, alpha, r, x)
-        gap = lower - q if q < 0.5 else (1 - q) - upper
+        a, b, x, tail = mpmath.mpf(alpha), (n - 1) * mpmath.mpf(alpha), mpmath.mpf(x), mpmath.mpf(tail)
+        below, above, u, v = mp_order_tails(n, alpha, r, x)
+        gap = tail - above if upper else below - tail
         log_slope = ((r - 1) * mpmath.log(u) + (n - r) * mpmath.log(v)
                      - mpmath.log(mpmath.beta(r, n - r + 1))
                      + a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(mpmath.beta(a, b)))
@@ -145,19 +147,22 @@ def mp_relative_error(n, alpha, r, q, x):
 def test_order_statistic_quantile_against_mpmath(n, law):
     alpha = {"default": predict_alpha(n), "alpha=1": 1.0, "alpha=1e4": 1e4}[law]
     spec = DirichletSpec(n, alpha)
+    # the tails of the 0.95 band, the median, and those of the band at
+    # level 1 - 1e-12, where 1 - (1 + level)/2 misses the tail by 1.1e-4 relative
+    far = (1.0 - (1.0 - 1e-12)) / 2.0
     for r in sorted({1, 2, (n + 1) // 2, n}):
-        for q in (0.025, 0.5, 0.975):
-            x = quantile(spec, r, q)
-            assert abs(mp_relative_error(n, alpha, r, q, x)) <= 1e-12, (r, q, x)
+        for tail, upper in ((0.025, False), (0.5, False), (0.025, True), (far, False), (far, True)):
+            x = quantile(spec, r, tail, upper)
+            assert abs(mp_relative_error(n, alpha, r, tail, upper, x)) <= 1e-12, (r, tail, upper, x)
 
 
 def test_large_concentration_bands_against_mpmath():
     # above a + b = 1e4 the beta ratio comes from the gamma mixture
     spec = DirichletSpec(11, 1e9)
     for r in (1, 11):
-        for q in (0.025, 0.975):
-            x = quantile(spec, r, q)
-            assert abs(mp_relative_error(11, 1e9, r, q, x)) <= 1e-12, (r, q, x)
+        for upper in (False, True):
+            x = quantile(spec, r, 0.025, upper)
+            assert abs(mp_relative_error(11, 1e9, r, 0.025, upper, x)) <= 1e-12, (r, upper, x)
 
 
 def test_bands_keep_the_smallest_normal_floor():
@@ -168,16 +173,16 @@ def test_bands_keep_the_smallest_normal_floor():
     assert np.all((0 < low) & (low < high) & (high < 1))
 
 
-def assert_quantile(n, alpha, r, q, x):
+def assert_quantile(n, alpha, r, tail, upper, x):
     """x is within 1e-12 of the exact quantile, or at the clamp beyond which
     the exact quantile lies: at most the smallest normal float, or within an
     ulp of 1."""
     if x == SMALLEST_NORMAL:
-        assert mp_relative_error(n, alpha, r, q, x) >= -1e-12, (r, q, x)
+        assert mp_relative_error(n, alpha, r, tail, upper, x) >= -1e-12, (r, tail, upper, x)
     elif x == 1.0:
-        assert mp_relative_error(n, alpha, r, q, 1.0 - 2.0 ** -53) <= 1e-12, (r, q, x)
+        assert mp_relative_error(n, alpha, r, tail, upper, 1.0 - 2.0 ** -53) <= 1e-12, (r, tail, upper, x)
     else:
-        assert abs(mp_relative_error(n, alpha, r, q, x)) <= 1e-12, (r, q, x)
+        assert abs(mp_relative_error(n, alpha, r, tail, upper, x)) <= 1e-12, (r, tail, upper, x)
 
 
 # count tables whose fits reach the ends of the concentrations a fit gives, with
@@ -202,8 +207,8 @@ def test_bands_and_coverage_at_fitted_extremes_against_mpmath(name):
     total, inside = sum(counts), 0
     for rank, c in enumerate(sorted(counts, reverse=True), start=1):
         r = n - rank + 1
-        assert_quantile(n, alpha, r, 0.025, low[rank - 1])
-        assert_quantile(n, alpha, r, 0.975, high[rank - 1])
+        assert_quantile(n, alpha, r, 0.025, False, low[rank - 1])
+        assert_quantile(n, alpha, r, 0.025, True, high[rank - 1])
         # the share lies in the exact band when neither tail of G beyond it is below 0.025
         with mpmath.workdps(40):
             below, above, _, _ = mp_order_tails(n, alpha, r, mpmath.mpf(c) / total)
@@ -217,8 +222,8 @@ def test_bands_at_the_ends_of_the_concentration_range():
     np.testing.assert_allclose(np.concatenate([low, high]), 1 / 7, rtol=1e-15, atol=0)
     low, high = dirichlet.order_statistic_bands(DirichletSpec(3, 1e-100), 0.95)
     for rank in (1, 2, 3):
-        assert_quantile(3, 1e-100, 4 - rank, 0.025, low[rank - 1])
-        assert_quantile(3, 1e-100, 4 - rank, 0.975, high[rank - 1])
+        assert_quantile(3, 1e-100, 4 - rank, 0.025, False, low[rank - 1])
+        assert_quantile(3, 1e-100, 4 - rank, 0.025, True, high[rank - 1])
 
 
 @pytest.mark.parametrize("alpha", [1e-101, 1e101])
@@ -233,4 +238,4 @@ def test_extreme_levels_against_mpmath(n, r, q):
     # the Cornish-Fisher start of the Beta(r, n-r+1) inversion lies in the
     # other tail for the top ranks here
     alpha = predict_alpha(n)
-    assert_quantile(n, alpha, r, q, quantile(DirichletSpec(n, alpha), r, q))
+    assert_quantile(n, alpha, r, q, False, quantile(DirichletSpec(n, alpha), r, q))
