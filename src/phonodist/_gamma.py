@@ -328,10 +328,10 @@ class Interpolant:
         self.h = (v_hi - self.v_lo) / self.pieces
         v = np.linspace(self.v_lo, v_hi, self.pieces + 1)
         self.s = np.clip(self.centre + self.width * np.sinh(v), low, high)
-        self.log_p, self.log_q = log_pq(a, self.s)
+        log_p, log_q = log_pq(a, self.s)
         t = np.exp(self.s)
-        self.values = np.stack([self.log_p, self.log_q + t])
-        h_p, h_q = self.slopes(self.s, self.log_p, self.log_q)
+        self.values = np.stack([log_p, log_q + t])
+        h_p, h_q = self.slopes(self.s, log_p, log_q)
         self.derivatives = np.stack([h_p, t - h_q]) * (self.h * self.width * np.cosh(v))
 
     def slopes(self, s, log_p, log_q):
