@@ -29,7 +29,8 @@ features on toy_a with an incidence table that leaves out "p", above and
 below the coverage floor, and a near-uniform table whose CWJ entropy lies
 one ulp below ln 3, through fit-alpha, estimate-entropy and report with
 the five tables, and maxent on a feature table whose seg_info column
-copies cost, which warns that the columns are affinely dependent).
+copies cost, which warns that the columns are affinely dependent), and,
+last, reconstruct at the flat Dirichlet (n = 4, alpha = 1).
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ def _calls(run, data: Path, tmp: Path) -> None:
                          "k\t0.2\t0.45\t0.45\t1.7\n" "i\t0.1\t0.6\t0.6\t0.9\n",
                          encoding="utf-8")
     run("maxent", str(dependent))
+    # the flat Dirichlet, whose first fraction denominator is exactly 0
+    run("reconstruct", "--n", "4", "--coeff-a", "1", "--exponent-b", "0")
 
 
 def run_calls(src: Path) -> list[dict]:

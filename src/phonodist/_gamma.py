@@ -24,14 +24,17 @@ Interpolant is a cheap stand-in for log_pq that places the moment
 windows; its nodes span the range where P, Q > 1e-300.
 order_statistic_quantiles inverts the iid-Beta order statistics at the
 exact tail each bound cuts off: a binomial tail for the Beta(j, n-j+1)
-step, then the ratio I_x(a, b) from Numerical Recipes' betacf (its
-prefactor in the Stirling-difference form of DiDonato & Morris' brcomp)
-or, for a + b above _BETA_CF_MAX, from the gamma mixture
+step, then the ratio I_x(a, b) from the continued fraction of DLMF
+8.17.22 (its prefactor in the Stirling-difference form of DiDonato &
+Morris' brcomp) or, for a + b above _BETA_CF_MAX, from the gamma mixture
 E[P(a, G x/(1-x))] with G ~ Gamma(b); above a = _CORNISH_FISHER_A, where
 log_pq is not checked, the Cornish-Fisher quantile of logit x is already
-within 1e-14.  No element's value depends on the array it is computed
-in: the series stop where their terms no longer change any sum, and the
-fractions take a number of steps fixed by the parameters alone.
+within 1e-14.  The scalar helpers, ln Gamma(1 + a) and the Lentz loop of
+that fraction, whose step count fixes the length of _Beta's array
+recurrence, come from _special.  No element's value depends on the array
+it is computed in: the series stop where their terms no longer change
+any sum, and each continued fraction takes a number of steps fixed by
+the parameters alone.
 """
 
 from __future__ import annotations
@@ -41,12 +44,9 @@ import math
 
 import numpy as np
 
+from ._special import _BERNOULLI, _LN_SQRT_2PI, beta_fraction, lgamma1p
 from .errors import NumericalError
 
-_EULER = 0.5772156649015329
-_LN_SQRT_2PI = 0.9189385332046728
-# B_2 .. B_16, for Stirling's series and for the zeta values of ln Gamma(1+a)
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 _TEMME_A, _TEMME_ORDERS, _TEMME_DEGREE = 25.0, 14, 34
 _BETA_CF_MAX, _CORNISH_FISHER_A = 1e4, 1e10
 _SMALL_A_T = 2.5
@@ -72,27 +72,6 @@ def gauss_legendre():
 def log_t_density(a: float, log_gamma: float, s):
     """ln(t * density of Gamma(a, 1) at t) at t = e**s, given ln Gamma(a)."""
     return a * s - np.exp(s) - log_gamma
-
-
-def _zeta(k: int) -> float:
-    """Riemann zeta at an integer k >= 2, by Euler-Maclaurin from 20 on."""
-    n = 20
-    total = math.fsum(m ** -k for m in range(1, n)) + n ** (1 - k) / (k - 1) + 0.5 * n ** -k
-    rising = k  # k (k+1) ... (k + 2j - 2)
-    for j, b in enumerate(_BERNOULLI[:5], start=1):
-        total += b / math.factorial(2 * j) * rising * n ** (-k - 2 * j + 1)
-        rising *= (k + 2 * j - 1) * (k + 2 * j)
-    return total
-
-
-@functools.lru_cache(maxsize=8)
-def lgamma1p(a: float) -> float:
-    """ln Gamma(1 + a) for a > 0, to relative precision as a falls to 0."""
-    if a >= 0.25:
-        return math.lgamma(1.0 + a)
-    # -gamma a + sum_{k>=2} (-1)**k zeta(k) a**k / k
-    terms = [(-a) ** k * _zeta(k) / k for k in range(30, 1, -1)]
-    return math.fsum(terms + [-_EULER * a])
 
 
 def _stirling(z):
@@ -437,20 +416,6 @@ class _IntegerBeta:
         return lower, upper, log_dens, j - (self.n + 1.0) * np.exp(log_u)
 
 
-def _beta_fraction_steps(a: float, b: float, x: float) -> int:
-    """Steps of Numerical Recipes' betacf for I_x(a, b) until a step moves
-    it by at most 1e-15, by modified Lentz steps in floats."""
-    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
-    for m in range(1, 100000):
-        for aa in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 / ((1.0 + aa * d) or 1e-300)
-            c = (1.0 + aa / c) or 1e-300
-        if abs(c * d - 1.0) <= 1e-15:
-            return m
-    raise ArithmeticError("incomplete beta fraction did not converge")
-
-
 class _Beta:
     """I_x(a, b) for scalars a, b, as a function of y = logit(x).
 
@@ -473,7 +438,7 @@ class _Beta:
         self.pivot = min(math.log((a + 1.0 + root) / (b + 1.0 - root)) if b + 1.0 > root else 0.0,
                          0.0)
         x = 1.0 / (1.0 + math.exp(-self.pivot))
-        steps = 2 + max(_beta_fraction_steps(a, b, x), _beta_fraction_steps(b, a, 1.0 - x))
+        steps = 2 + max(beta_fraction(a, b, x)[1], beta_fraction(b, a, 1.0 - x)[1])
         m = np.arange(1.0, steps + 1.0)
         # the partial numerators over x: odd and even steps, for (a, b) and (b, a)
         self.numerators = np.array([[m * (q - m) / ((p + 2 * m - 1.0) * (p + 2 * m)),
@@ -672,8 +637,9 @@ def order_statistic_bands(n: int, alpha: float, level: float) -> tuple[np.ndarra
 # arrays).
 # As (n - 1) alpha falls to 0 the top rank's variance becomes a difference
 # of numbers near 1: at 5e-4 its sd is off mpmath by up to 2e-10, at
-# _MIN_SPREAD by 3e-12.  The log density at a node carries a rounding error
-# of about 1e-16 sqrt(alpha), 1e-11 at _MAX_ALPHA.
+# _MIN_SPREAD by 3e-12.  Near _MAX_ALPHA the sds miss 1e-10 at large n:
+# against mpmath, rank 750 of n = 1500 is off by 4.8e-10 at alpha = 1e9
+# and by 4.5e-9 at 1e10, while the means stay within 1e-13.
 _DROP, _BLOCK = 50.0, 128
 _MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
 _LOG_RANGE_END = math.log(1e-300)

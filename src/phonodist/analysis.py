@@ -4,9 +4,10 @@ The per-language concentration fit behind fit-alpha, estimate-entropy
 and report, the log-log regression of the fits on inventory size with a
 t-test of its slope, and the compensation report of every language's fit
 with the pooled regression.  The regression is one closed-form
-least-squares line and the Student-t tail probabilities come from the
-finite sums for integer degrees of freedom, so this module imports no
-numpy; ``band_coverage`` loads it through the bands.
+least-squares line, and the Student-t tail probability of its slope is
+an incomplete beta ratio from the one continued fraction of _special,
+so this module imports no numpy; ``band_coverage`` loads it through the
+bands.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
+from . import _special
 from .dirichlet import AlphaScalingLaw, DirichletSpec, order_statistic_bands, solve_alpha
 from .entropy import CountVector, cwj_estimate, relative_entropy
 from .errors import DomainError, InfeasibleError
@@ -42,49 +44,28 @@ class RegressionFit(NamedTuple):
 
 
 def _t_two_sided_p(t: float, df: int) -> float:
-    """P(|T| >= |t|) for Student's t with integer ``df`` >= 1.
-
-    Abramowitz & Stegun 26.7.3-4 give 1 - p as the first df // 2 terms of a
-    power series in c**2 = df / (df + t**2) (plus an arctangent for odd df);
-    the whole series sums to 1.  A large p is 1 minus those terms; a small p
-    is the sum of the other terms, so it never cancels.  Term k holds
-    c**(2k), so c**2 is carried to double-double precision.  The cost grows
-    linearly in df.
-    """
-    from fractions import Fraction  # only regress and report need it
-
+    """P(|T| >= |t|) for Student's t with integer ``df`` >= 1: I_x(a, 1/2),
+    a = df/2, at x = df / (df + t**2), or 1 - I_{1-x}(1/2, a) above the
+    fraction's pivot, where p > 0.08.  x and y = 1 - x are ratios of
+    integers rounded once, and y keeps the fraction's steps free of
+    cancellation near x = 1.  x**a takes the first-order term of the rounding of x, which
+    would cost 2e-13 at df = 1000; where x would leave the normal floats,
+    it is scaled by an even power of 2."""
     if not math.isfinite(t):
         return 0.0
-    t = abs(t)
-    half, odd = divmod(df, 2)
-    root = math.sqrt(df)
-    h = math.hypot(root, t)
-    # sin(theta), times cos(theta) for odd df, where tan(theta) = t / sqrt(df)
-    weight = t / h * (root / h if odd else 1.0)
-    exact = df / (df + Fraction(t) ** 2)
-    cos2 = float(exact)
-    low = float(exact - Fraction(cos2)) / cos2 if cos2 else 0.0
-    # term_k carries cos2**k; the true power (cos2 * (1 + low))**k is
-    # term_k * (1 + k * low), so s1 sums k * term_k for the correction
-    term, s0, s1 = 1.0, 0.0, 0.0
-    for k in range(half):
-        s0 += term
-        s1 += k * term
-        term *= cos2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
-    head = weight * (s0 + low * s1)
-    p = (math.atan2(root, t) - head) * (2 / math.pi) if odd else 1.0 - head
-    if p >= 0.1:
-        return p
-    # the terms fall at least as fast as powers of c**2, so what is left
-    # after a term is below term / sin(theta)**2
-    k, s0, s1, floor = half, 0.0, 0.0, 1e-17 * (t / h) ** 2
-    while term > floor * s0:
-        s0 += term
-        s1 += k * term
-        term *= cos2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
-        k += 1
-    tail = weight * (s0 + low * s1)
-    return tail * (2 / math.pi) if odd else tail
+    num, den = abs(t).as_integer_ratio()
+    low, high = df * den * den, num * num
+    total = low + high
+    shift = 2 * max(0, (total.bit_length() - low.bit_length()) // 2 - 500)
+    x, y = (low << shift) / total, high / total
+    top, bottom = x.as_integer_ratio()
+    error = ((low << shift) * bottom - top * total) / (total * top)  # (exact x - x) / x
+    a, b = df / 2, 0.5
+    front = math.ldexp(math.pow(x, a) * (1.0 + a * error) * math.sqrt(y)  # x**a (1-x)**b / B
+                       * math.exp(-_special.log_beta(a, b)), -shift * df // 2)
+    if y < (b + 1.0) / (a + b + 2.0):
+        return 1.0 - front * _special.beta_fraction(b, a, y, x)[0] / b
+    return front * _special.beta_fraction(a, b, math.ldexp(x, -shift), y)[0] / a
 
 
 # a residual standard error within this many ulps of the largest
@@ -144,7 +125,7 @@ def implied_scaling_law(fit: RegressionFit) -> AlphaScalingLaw:
 
 
 def band_coverage(counts: CountVector) -> float:
-    """Fraction of observed rank probabilities inside the fitted bands.
+    """Share of observed rank probabilities inside the fitted bands.
 
     Fits the concentration with ``fit_language`` (``InfeasibleError``
     with its note where none fits), then checks each observed rank

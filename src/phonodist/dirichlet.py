@@ -9,7 +9,8 @@ All entropies are in nats.  The order-statistic moments and bands are
 computed in numpy by the private _gamma module, which the two
 order-statistic functions import inside themselves, so that importing
 this module, or fitting and predicting a concentration, loads neither
-_gamma nor numpy.  No function here needs scipy.
+_gamma nor numpy.  No function here needs scipy.  digamma is the
+private stdlib module _special's, exported from here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._special import digamma
 from .errors import DomainError, InfeasibleError, NumericalError
 
 if TYPE_CHECKING:
@@ -115,34 +117,6 @@ class OrderStatSummary(NamedTuple):
             lo = None if self.ci_low is None else float(self.ci_low[i])
             hi = None if self.ci_high is None else float(self.ci_high[i])
             yield i + 1, float(self.mean[i]), float(self.sd[i]), lo, hi
-
-
-_LN10_HI = 2.302585092994046
-_LN10_LO = -2.1707562233822494e-16  # ln 10 - _LN10_HI
-# psi(y) - ln(y) is the sum of c * w**p, w = 1/y, over these (c, p) for
-# y >= 10: -w/2, then -B_2k w**2k / 2k through B_12
-_PSI_TERMS = ((-1 / 2, 1), (-1 / 12, 2), (1 / 120, 4), (-1 / 252, 6), (1 / 240, 8),
-              (-1 / 132, 10), (691 / 32760, 12))
-
-
-def digamma(x) -> float:
-    """Digamma function of a real scalar x > 0.
-
-    Below 10 the argument is raised by ten steps of psi(x) = psi(x+1) - 1/x.
-    ln(x + 10) is split as ln 10 + log1p(x/10), and the ten reciprocals are
-    taken off ln 10 before anything else is added, so that no rounding
-    happens at the size of ln 10 and psi stays accurate where it crosses
-    zero (x = 1.4616...).
-    """
-    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
-        raise DomainError(f"digamma requires finite x > 0, got {x!r}")
-    x = float(x)
-    w = 1.0 / (x + 10.0 if x < 10.0 else x)
-    rest = sum([c * w**p for c, p in _PSI_TERMS])
-    if x >= 10.0:
-        return math.log(x) + rest
-    parts = [_LN10_HI, _LN10_LO, math.log1p(x / 10.0), rest]
-    return math.fsum(parts + [-1.0 / (x + i) for i in range(10)])
 
 
 def _mean_entropy(n: int, alpha: float) -> float:

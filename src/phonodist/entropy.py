@@ -15,7 +15,8 @@ import numbers
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .dirichlet import _check_inventory, digamma
+from ._special import digamma
+from .dirichlet import _check_inventory
 from .errors import DomainError
 
 __all__ = [

@@ -143,7 +143,7 @@ class TestLoglogRegression:
 
 
 class TestStudentT:
-    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 10, 30, 100, 1000])
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 10, 30, 100, 999, 1000, 1001, 10000])
     def test_against_mpmath(self, df):
         mpmath = pytest.importorskip("mpmath")
         ts = np.concatenate([[0.0], np.linspace(0.05, 4.0, 80), np.logspace(-3, 15, 109)])
@@ -170,6 +170,15 @@ class TestStudentT:
         p = _t_two_sided_p(t, 1)
         assert p == pytest.approx(7.4e-16, rel=0.01)
         assert abs(p - ref) <= 1e-13 * ref
+
+    def test_x_below_the_normal_floats(self):
+        mpmath = pytest.importorskip("mpmath")
+        # above |t| = 1.3e154, x = df / (df + t**2) is no longer a normal
+        # float, while p = (2 / pi) atan(1 / |t|) at df = 1 still is
+        for t in (1e150, 2e154, 1e200, -1e300, 1.7e308):
+            with mpmath.workdps(30):
+                ref = 2 / mpmath.pi * mpmath.atan(1 / abs(mpmath.mpf(t)))
+            assert abs(_t_two_sided_p(t, 1) - ref) <= 1e-13 * ref, t
 
 
 class TestImpliedScalingLaw:

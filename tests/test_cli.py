@@ -590,7 +590,7 @@ from pathlib import Path
 
 def loaded():
     modules = {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
-               for top in ("numpy", "scipy", "dataclasses", "logging")}
+               for top in ("numpy", "scipy", "dataclasses", "logging", "fractions")}
     return {**modules, "_gamma": [m for m in sys.modules if m == "phonodist._gamma"]}
 
 
@@ -628,8 +628,8 @@ _SCALAR = ("predict-alpha", "estimate-entropy", "regress", "fit-alpha", "report"
 def _probe_imports(tmp_path, *steps):
     """Import phonodist, then phonodist.cli, then run ``steps`` in one fresh
     interpreter, so that nothing pytest has already imported counts; return
-    the numpy, scipy, dataclasses and logging modules, and phonodist._gamma,
-    loaded after each."""
+    the numpy, scipy, dataclasses, logging and fractions modules, and
+    phonodist._gamma, loaded after each."""
     features = tmp_path / "features.tsv"  # maxent's input, written here
     assert cli.main(["features", data_path("toy_a.lex"), data_path("toy_incidence.tsv"),
                      "-o", str(features)]) == 0
@@ -660,10 +660,11 @@ def test_only_reconstruct_imports_the_gamma_module(tmp_path):
     assert loaded["reconstruct"]["_gamma"] == ["phonodist._gamma"]
 
 
-def test_no_subcommand_imports_dataclasses_or_logging(tmp_path):
+def test_no_subcommand_imports_dataclasses_logging_or_fractions(tmp_path):
     loaded = _probe_imports(tmp_path, *_SCALAR, "features", "maxent", "reconstruct")
     for step in ("package", "cli", *_SCALAR, "features", "maxent", "reconstruct"):
         assert loaded[step]["dataclasses"] == loaded[step]["logging"] == [], step
+        assert loaded[step]["fractions"] == [], step
 
 
 @pytest.mark.parametrize("step", ["reconstruct"])
@@ -681,14 +682,27 @@ def test_only_reconstruct_imports_numpy(tmp_path):
         assert loaded[step]["numpy"] == loaded[step]["scipy"] == [], step
 
 
-def test_maxent_module_imports_no_numpy():
+def _modules_loaded_by(module):
+    """The numpy, scipy and phonodist modules that importing ``module``
+    loads in a fresh interpreter."""
     src = Path(phonodist.__file__).resolve().parents[1]
-    probe = ("import sys, phonodist.maxent; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    probe = (f"import json, sys, {module}; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'scipy', 'phonodist'))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_maxent_module_imports_no_numpy():
+    loaded = _modules_loaded_by("phonodist.maxent")
+    assert [m for m in loaded if not m.startswith("phonodist")] == []
+
+
+def test_special_module_imports_the_standard_library_alone():
+    # and the package's exception types, which digamma raises
+    assert _modules_loaded_by("phonodist._special") == [
+        "phonodist", "phonodist._special", "phonodist.errors"]
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

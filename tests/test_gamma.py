@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phonodist import _gamma, dirichlet
+from phonodist import _gamma, _special, dirichlet
 from phonodist.analysis import band_coverage, fit_language
 from phonodist.dirichlet import DirichletSpec, predict_alpha
 from phonodist.entropy import CountVector
@@ -77,7 +77,7 @@ def test_lgamma1p_keeps_relative_precision_near_zero():
     for a in (1e-30, 2.5e-6, 1e-3, 0.1, 0.2499, 0.25, 0.7):
         with mpmath.workdps(80):
             ref = mpmath.loggamma(1 + mpmath.mpf(a))
-        assert _gamma.lgamma1p(a) == pytest.approx(float(ref), rel=1e-14, abs=0)
+        assert _special.lgamma1p(a) == pytest.approx(float(ref), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n", [5, 30, 400])
@@ -224,6 +224,19 @@ def test_bands_at_the_ends_of_the_concentration_range():
     for rank in (1, 2, 3):
         assert_quantile(3, 1e-100, 4 - rank, 0.025, False, low[rank - 1])
         assert_quantile(3, 1e-100, 4 - rank, 0.025, True, high[rank - 1])
+
+
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (4, 1.0), (6, 0.5)])
+def test_bands_where_the_first_fraction_denominator_is_zero(n, alpha):
+    # at alpha = 2/(n - 2) the fraction's first denominator 1 - (a + b) x/(a + 1)
+    # is exactly 0 at the pivot x = 1/2; (4, 1) is the flat Dirichlet
+    spec = DirichletSpec(n, alpha)
+    low, high = dirichlet.order_statistic_bands(spec, 0.95)
+    mean = dirichlet.order_statistic_moments(spec).mean
+    assert np.all((0 < low) & (low < mean) & (mean < high) & (high < 1))
+    for rank in range(1, n + 1):
+        assert_quantile(n, alpha, n - rank + 1, 0.025, False, low[rank - 1])
+        assert_quantile(n, alpha, n - rank + 1, 0.025, True, high[rank - 1])
 
 
 @pytest.mark.parametrize("alpha", [1e-101, 1e101])
