@@ -29,22 +29,22 @@ step, then the ratio I_x(a, b) from the continued fraction of DLMF
 Morris' brcomp) or, for a + b above _BETA_CF_MAX, from the gamma mixture
 E[P(a, G x/(1-x))] with G ~ Gamma(b); above a = _CORNISH_FISHER_A, where
 log_pq is not checked, the Cornish-Fisher quantile of logit x is already
-within 1e-14.  The scalar helpers, ln Gamma(1 + a) and the Lentz loop of
-that fraction, whose step count fixes the length of _Beta's array
-recurrence, come from _special.  No element's value depends on the array
-it is computed in: the series stop where their terms no longer change
-any sum, and each continued fraction takes a number of steps fixed by
-the parameters alone.
+within 1e-14.  ln Gamma(1 + a) and the Lentz loop that counts the steps
+of both continued fractions come from _special.  No element's value
+depends on the array it is computed in: the series stop where their
+terms no longer change any sum, and each continued fraction takes a
+number of steps fixed by the parameters alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
-from ._special import _BERNOULLI, _LN_SQRT_2PI, beta_fraction, lgamma1p
+from ._special import _BERNOULLI, _LN_SQRT_2PI, beta_fraction, lentz, lgamma1p
 from .errors import NumericalError
 
 _TEMME_A, _TEMME_ORDERS, _TEMME_DEGREE = 25.0, 14, 34
@@ -163,14 +163,8 @@ def _fraction_steps(a: float) -> int:
     gives it, until a modified Lentz step moves it by at most 1e-15; at
     larger t it converges in fewer."""
     t = max(a + 1.0, _SMALL_A_T if a < 1.0 else 0.0, 1.3 * a if a >= _TEMME_A else 0.0)
-    b, c, d = t + 1.0 - a, 1e300, 1.0 / (t + 1.0 - a)
-    for i in range(1, 100000):
-        an, b = -i * (i - a), b + 2.0
-        d = 1.0 / ((an * d + b) or 1e-300)
-        c = (b + an / c) or 1e-300
-        if abs(c * d - 1.0) <= 1e-15:
-            return i
-    raise ArithmeticError("incomplete gamma fraction did not converge")
+    b = itertools.accumulate(itertools.repeat(2.0, 99999), initial=t + 1.0 - a)  # b_i = b_i-1 + 2
+    return lentz(1e300, 1.0 / next(b), ((-i * (i - a), b_i) for i, b_i in enumerate(b, 1)))[1]
 
 
 def _fraction_q(a, s, t):

@@ -1,9 +1,10 @@
 """The package's scalar special functions, on the standard library alone:
 digamma, ln Gamma(1 + a) near a = 0 and the zeta values behind it,
 Stirling's remainder and ln B(a, b) in the Stirling-difference form of
-DiDonato & Morris (1986, ACM TOMS 12:377), and the one Lentz loop, of the
-incomplete beta fraction (DLMF 8.17.22): analysis takes Student's t tail
-from its value, _gamma the length of its band recurrence from its steps.
+DiDonato & Morris (1986, ACM TOMS 12:377), and the one modified Lentz
+loop: analysis takes Student's t tail from the incomplete beta fraction
+(DLMF 8.17.22), and _gamma the lengths of its recurrences from the step
+counts of that fraction and of Legendre's incomplete gamma fraction.
 """
 
 from __future__ import annotations
@@ -83,37 +84,47 @@ def log_beta(a: float, b: float) -> float:
             - b * math.log1p(a / b) + stirling(a) + stirling(b) - stirling(a + b))
 
 
+def lentz(c: float, d: float, terms, every: int = 1) -> tuple[float, int]:
+    """(h, m) of a continued fraction by the modified Lentz method, given its
+    ratios c and d = 1/D after its first term and an iterable of the later
+    terms (a_k, b_k): h is d times c d of every step, m the steps over
+    ``every`` when a check after each ``every`` steps first finds c d within
+    1e-15 of 1.  A denominator that rounds to 0 is taken as 1e-300."""
+    h = d
+    for k, (a, b) in enumerate(terms, start=1):
+        d, c = 1.0 / ((a * d + b) or 1e-300), (b + a / c) or 1e-300
+        h *= c * d
+        if k % every == 0 and abs(c * d - 1.0) <= 1e-15:
+            return h, k // every
+    raise ArithmeticError("continued fraction did not converge")
+
+
 def beta_fraction(a: float, b: float, x: float, y: float | None = None) -> tuple[float, int]:
-    """(h, m): the fraction h with I_x(a, b) = x**a (1-x)**b h / (a B(a, b))
-    (DLMF 8.17.22), by modified Lentz double steps until the m-th moves it by
-    at most 1e-15, each denominator that rounds to 0 taken as 1e-300 (the
-    first is 0 at x = (a+1)/(a+b)).  It converges fast below
-    x = (a+1)/(a+b+2).  The odd steps divide by 1 - x r_k,
-    r_k = (a+k)(a+b+k) / ((a+2k)(a+2k+1)), which cancels near x = 1 with
-    an error of about a ulps; given y = 1 - x to its own precision, a step
-    with r_k <= 1 takes it as (1 - r_k) + y r_k instead."""
-    def rest(k):
-        """1 - x r_k from y where r_k <= 1, else None."""
+    """(h, m): h = 1 / (1 + d_1 / (1 + d_2 / (1 + ...))), the fraction with
+    I_x(a, b) = x**a (1-x)**b h / (a B(a, b)) (DLMF 8.17.22), and the m
+    double steps it takes; it converges fast below x = (a+1)/(a+b+2).  Its
+    odd terms d_2k+1 = -x r_k, r_k = (a+k)(a+b+k) / ((a+2k)(a+2k+1)), make
+    1 + d_2k+1 cancel near x = 1, which costs about a ulps of h at large a.
+    Given y = 1 - x to its own precision, h comes from the fraction's odd
+    part, whose denominators 1 + d_2k + d_2k+1 take 1 + d_2k+1 as
+    (1 - r_k) + y r_k where r_k <= 1; without y, from the fraction itself,
+    whose first denominator is 0 at x = (a+1)/(a+b)."""
+    def term(n):
+        m = n // 2
+        if n % 2:
+            return -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        return m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+
+    if y is None:
+        first = 1.0 - (a + b) * x / (a + 1.0)
+        return lentz(1.0, 1.0 / (first or 1e-300), ((term(n), 1.0) for n in range(2, 200000)), 2)
+
+    def odd(k):
+        """1 + d_2k+1."""
         s = a * (2 * k + 1.0 - b) + k * (3 * k + 2.0 - b)  # (1 - r_k) (a+2k)(a+2k+1)
-        if y is None or s < 0.0:
-            return None
+        if s < 0.0:
+            return 1.0 + term(2 * k + 1)
         return (s + (a + k) * (a + b + k) * y) / ((a + 2 * k) * (a + 2 * k + 1.0))
 
-    first = rest(0)
-    d = 1.0 / ((1.0 - (a + b) * x / (a + 1.0) if first is None else first) or 1e-300)
-    c, h = 1.0, d
-    for m in range(1, 100000):
-        aa = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
-        gd, gc = aa * d, aa / c
-        d, c = 1.0 / ((1.0 + gd) or 1e-300), (1.0 + gc) or 1e-300
-        h *= c * d
-        odd = rest(m)
-        if odd is None:
-            aa = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
-            d, c = 1.0 / ((1.0 + aa * d) or 1e-300), (1.0 + aa / c) or 1e-300
-        else:  # 1 - x r / (1 + g) = (g + 1 - x r) / (1 + g)
-            d, c = 1.0 / (((gd + odd) * d) or 1e-300), ((gc + odd) / c) or 1e-300
-        h *= c * d
-        if abs(c * d - 1.0) <= 1e-15:
-            return h, m
-    raise ArithmeticError("incomplete beta fraction did not converge")
+    return lentz(1e300, 1.0 / (odd(0) or 1e-300),
+                 ((-term(2 * k - 1) * term(2 * k), odd(k) + term(2 * k)) for k in range(1, 100000)))
