@@ -30,7 +30,7 @@ Morris' brcomp) or, for a + b above _BETA_CF_MAX, from the gamma mixture
 E[P(a, G x/(1-x))] with G ~ Gamma(b); above a = _CORNISH_FISHER_A, where
 log_pq is not checked, the Cornish-Fisher quantile of logit x is already
 within 1e-14.  ln Gamma(1 + a) and the Lentz loop that counts the steps
-of both continued fractions come from _special.  No element's value
+of each continued fraction come from _special.  No element's value
 depends on the array it is computed in: the series stop where their
 terms no longer change any sum, and each continued fraction takes a
 number of steps fixed by the parameters alone.
