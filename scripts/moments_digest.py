@@ -9,8 +9,9 @@ bytes of the mean and sd arrays, or of the low and high band arrays.
 Moments: n in {2, 3, 5, 11, 20, 30, 60, 100, 160, 400, 1000, 1500, 1800,
 2000} times alpha in {the default law, 1, 37, the floor 5e-3/(n-1), 1e9,
 1e10, the law with coeff_a 0.01}.  Bands: n in {2, 3, 11, 30, 160, 1500}
-times thirteen concentrations from 1e-100 to 1e100 times the levels 0.5,
-0.95 and 0.999.  A diff of two trees' output checks that a change keeps
+times thirteen concentrations from 1e-100 to 1e100 and the two ends of
+n's domain, 5e-3/(n-1) and 1e10, times the levels 0.5, 0.95 and 0.999;
+the concentrations outside that domain read its NumericalError.  A diff of two trees' output checks that a change keeps
 every result bit for bit:
 
     python3 scripts/moments_digest.py > after.txt
@@ -61,7 +62,7 @@ def lines():
             result = outcome(moments, dirichlet.DirichletSpec(n, alpha))
             yield f"moments\tn={n}\t{label}\talpha={alpha!r}\t{result}"
     for n in BAND_NS:
-        for alpha in BAND_ALPHAS:
+        for alpha in (*BAND_ALPHAS, 5e-3 / (n - 1), 1e10):
             for level in LEVELS:
                 result = outcome(dirichlet.order_statistic_bands, dirichlet.DirichletSpec(n, alpha),
                                  level)

@@ -6,6 +6,8 @@ Only dirichlet's order-statistic functions import this module, inside
 themselves, each through one entry point: order_statistic_moments, a
 fixed-rule quadrature of every rank's normalized-gamma moments, and
 order_statistic_bands, an inversion of the iid-Beta order statistics.
+Both take the concentrations from 5e-3/(n-1) to 1e10 and raise the same
+NumericalError outside them (_check_domain).
 For Gamma(a, 1) with a scalar a, log_pq gives (ln P, ln Q) at t = e**s,
 each accurate to relative precision in its own tail: it computes the
 smaller tail directly and the other as log1p(-exp(.)).
@@ -27,13 +29,11 @@ exact tail each bound cuts off: a binomial tail for the Beta(j, n-j+1)
 step, then the ratio I_x(a, b) from the continued fraction of DLMF
 8.17.22 (its prefactor in the Stirling-difference form of DiDonato &
 Morris' brcomp) or, for a + b above _BETA_CF_MAX, from the gamma mixture
-E[P(a, G x/(1-x))] with G ~ Gamma(b); above a = _CORNISH_FISHER_A, where
-log_pq is not checked, the Cornish-Fisher quantile of logit x is already
-within 1e-14.  ln Gamma(1 + a) and the Lentz loop that counts the steps
-of each continued fraction come from _special.  No element's value
-depends on the array it is computed in: the series stop where their
-terms no longer change any sum, and each continued fraction takes a
-number of steps fixed by the parameters alone.
+E[P(a, G x/(1-x))] with G ~ Gamma(b).  ln Gamma(1 + a) and the Lentz loop
+that counts the steps of each continued fraction come from _special.
+No element's value depends on the array it is computed in: the series
+stop where their terms no longer change any sum, and each continued
+fraction takes a number of steps fixed by the parameters alone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ._special import _BERNOULLI, _LN_SQRT_2PI, beta_fraction, lentz, lgamma1p
 from .errors import NumericalError
 
 _TEMME_A, _TEMME_ORDERS, _TEMME_DEGREE = 25.0, 14, 34
-_BETA_CF_MAX, _CORNISH_FISHER_A = 1e4, 1e10
+_BETA_CF_MAX = 1e4
 _SMALL_A_T = 2.5
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 _NODES = 128  # Gauss-Legendre nodes of the moment windows and the gamma mixture
@@ -485,9 +485,10 @@ class _GammaMixture:
         return (*(_log_sum(self.log_w + part) for part in (log_p, log_q, log_tf)), None)
 
 
-def _log_sum(log_terms):
+def _log_sum(log_terms, weights=1.0):
+    """ln sum_k weights_k e**log_terms[:, k] per row, shifted by the row's largest term."""
     top = log_terms.max(axis=1)
-    return top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1))
+    return top + np.log((weights * np.exp(log_terms - top[:, None])).sum(axis=1))
 
 
 def _beta_logit_quantile(beta, log_tail, upper, y):
@@ -532,26 +533,6 @@ def _normal_quantile(log_tail):
         1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
 
 
-def _log_normal_tail(z):
-    """ln Phi(-z), elementwise, by erfc, which holds Phi(-z) to relative
-    precision up to z = 37 (6e-300).  The bands take z at ln min(U, 1 - U)
-    for a Beta(j, n-j+1) quantile U at a tail (1 - level)/2 >= 2**-54, so
-    that |ln min(U, 1 - U)| <= 37.4 + ln n and z stays below about 11 for
-    any n that fits in memory."""
-    return np.reshape([math.log(0.5 * math.erfc(v / math.sqrt(2.0))) for v in np.ravel(z).tolist()],
-                      np.shape(z))
-
-
-def _polished_normal_quantile(log_tail):
-    """_normal_quantile polished by two Newton steps on ln Phi(-z), which
-    take its error of 4.5e-4 to about 1e-6 and then below 1e-12."""
-    z = _normal_quantile(log_tail)
-    for _ in range(2):
-        log_phi = _log_normal_tail(z)  # d ln Phi(-z) / dz = -e**(-z**2/2 - ln Phi(-z)) / sqrt(2 pi)
-        z = z + (log_phi - log_tail) * np.exp(log_phi + 0.5 * z * z + _LN_SQRT_2PI)
-    return z
-
-
 def _logit_beta_start(a, b, z):
     """The Cornish-Fisher quantile of logit X, X ~ Beta(a, b), at the
     standard normal quantile z: logit X is ln G_a - ln G_b, with cumulants
@@ -575,14 +556,11 @@ def order_statistic_quantiles(n: int, a: float, j, tail, upper):
     """Quantiles of the j-th smallest of n iid Beta(a, (n-1) a) draws that
     cut ``tail`` off the lower side, or off the upper side where ``upper``,
     elementwise in the integer array j, clamped to [smallest normal, 1],
-    for a from 1e-100 to 1e100.
+    for a in the domain of _check_domain.
 
     The j-th smallest has CDF I_F(x)(j, n-j+1), so U, the Beta(j, n-j+1)
     quantile, comes first, then x with I_x(a, (n-1) a) = U, each solved
-    in logit space from its smaller tail.  Above a = _CORNISH_FISHER_A
-    the Cornish-Fisher quantile of logit x, from the polished normal
-    quantile, is x: the terms it leaves out are of order z**3 sd / a,
-    sd = O(a**-1/2), at most about 1e-14 there.
+    in logit space from its smaller tail.
     """
     j = np.asarray(j, dtype=float)
     upper = np.broadcast_to(upper, j.shape)
@@ -592,30 +570,17 @@ def order_statistic_quantiles(n: int, a: float, j, tail, upper):
     log_u, log_v = -_softplus(-y_u), -_softplus(y_u)
     b = (n - 1) * a
     upper, log_tail = log_v < log_u, np.minimum(log_u, log_v)
-    sign = np.where(upper, 1.0, -1.0)
-    if a > _CORNISH_FISHER_A:
-        y = _logit_beta_start(a, b, sign * _polished_normal_quantile(log_tail))
-    else:
-        beta = _GammaMixture(a, b) if a + b > _BETA_CF_MAX else _Beta(a, b)
-        y = _beta_logit_quantile(beta, log_tail, upper,
-                                 _logit_beta_start(a, b, sign * _normal_quantile(log_tail)))
+    beta = _GammaMixture(a, b) if a + b > _BETA_CF_MAX else _Beta(a, b)
+    start = _logit_beta_start(a, b, np.where(upper, 1.0, -1.0) * _normal_quantile(log_tail))
+    y = _beta_logit_quantile(beta, log_tail, upper, start)
     return np.clip(np.exp(-_softplus(-y)), _SMALLEST_NORMAL, 1.0)
-
-
-# The bands take concentrations from 1e-100 to 1e100, which hold every
-# one dirichlet.solve_alpha returns (e**-208.4 to e**208.4): below, the
-# start of the inversion overflows; above, its skewness term underflows.
-_MIN_BAND_ALPHA, _MAX_BAND_ALPHA = 1e-100, 1e100
 
 
 def order_statistic_bands(n: int, alpha: float, level: float) -> tuple[np.ndarray, np.ndarray]:
     """(low, high) of every rank's central ``level`` band, rank 1 first,
     in one order_statistic_quantiles call that cuts (1 - level)/2 off each
     side; NumericalError where the concentration or the inversion fails."""
-    if not _MIN_BAND_ALPHA <= alpha <= _MAX_BAND_ALPHA:
-        raise NumericalError(
-            f"concentration {alpha:.3g} is outside [{_MIN_BAND_ALPHA:g}, {_MAX_BAND_ALPHA:g}], "
-            f"where the order-statistic quantiles are computed")
+    _check_domain(n, alpha)
     smallest = np.arange(n, 0, -1)  # order-statistic index of each rank
     try:
         bands = order_statistic_quantiles(n, alpha, np.tile(smallest, 2), (1.0 - level) / 2.0,
@@ -637,6 +602,16 @@ def order_statistic_bands(n: int, alpha: float, level: float) -> tuple[np.ndarra
 _DROP, _BLOCK = 50.0, 128
 _MIN_SPREAD, _MAX_ALPHA = 5e-3, 1e10
 _LOG_RANGE_END = math.log(1e-300)
+
+
+def _check_domain(n: int, alpha: float) -> None:
+    """NumericalError for a concentration outside [_MIN_SPREAD / (n - 1), _MAX_ALPHA]."""
+    floor = _MIN_SPREAD / (n - 1)
+    if not floor <= alpha <= _MAX_ALPHA:
+        side, bound = ("below", floor) if alpha < floor else ("above", _MAX_ALPHA)
+        raise NumericalError(
+            f"concentration {alpha:.3g} is {side} {bound:.3g}, where the order-statistic "
+            f"moments of n = {n} components miss their error bound")
 
 
 def _phi(n: int, alpha: float, j, p, s, log_p, log_q):
@@ -739,17 +714,12 @@ def _gamma_moments(n: int, alpha: float, j, low, high):
     (log_p, log_p_low, log_p_high), (log_q, log_q_low, log_q_high) = (
         np.split(part, [u.size, u.size + 1], axis=1) for part in (log_p, log_q))
     log_density = _phi(n, alpha, j[:, None], 0.0, s, log_p, log_q)
-
-    def log_sum(log_terms, factor=1.0):
-        top = log_terms.max(axis=1)
-        return top + np.log((w * factor * np.exp(log_terms - top[:, None])).sum(axis=1))
-
-    log_mass = log_sum(log_density)
-    log_mean = log_sum(log_density + s) - log_mass
+    log_mass = _log_sum(log_density, w)
+    log_mean = _log_sum(log_density + s, w) - log_mass
     # (t / mean - 1)**2 as exp(2 max(gap, 0)) * expm1(-|gap|)**2, free of cancellation
     gap = s - log_mean[:, None]
-    spread = np.exp(log_sum(log_density + 2.0 * np.maximum(gap, 0.0), np.expm1(-np.abs(gap)) ** 2)
-                    - log_mass)
+    spread = np.exp(_log_sum(log_density + 2.0 * np.maximum(gap, 0.0),
+                             w * np.expm1(-np.abs(gap)) ** 2) - log_mass)
     # G_(j) < e**low when at least j of the n draws are, G_(j) > e**high
     # when at least n - j + 1 are
     tails, rests = np.exp(binomial_tail(
@@ -773,12 +743,7 @@ def order_statistic_moments(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
     that fails the sum identities of the means and second moments, raises
     NumericalError.
     """
-    floor = _MIN_SPREAD / (n - 1)
-    if not floor <= alpha <= _MAX_ALPHA:
-        side, bound = ("below", floor) if alpha < floor else ("above", _MAX_ALPHA)
-        raise NumericalError(
-            f"concentration {alpha:.3g} is {side} {bound:.3g}, where the order-statistic "
-            f"moments of n = {n} components miss their error bound")
+    _check_domain(n, alpha)
     j = np.arange(1.0, n + 1.0)
     low, high = _moment_windows(n, alpha, j)
     blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]

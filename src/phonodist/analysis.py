@@ -130,6 +130,8 @@ def band_coverage(counts: CountVector) -> float:
     Fits the concentration with ``fit_language`` (``InfeasibleError``
     with its note where none fits), then checks each observed rank
     probability against the 95 % order-statistic interval of the fit.
+    A fitted concentration outside [5e-3 / (n - 1), 1e10], where the
+    bands are not computed, raises ``NumericalError``.
     """
     fit = fit_language("", counts)
     if fit.alpha_hat is None:

@@ -172,12 +172,19 @@ def solve_alpha(entropy_hat: float, n: int) -> float:
 
 
 def predict_alpha(n: int, law: AlphaScalingLaw = AlphaScalingLaw()) -> float:
-    """Concentration predicted from inventory size via the scaling law."""
+    """Concentration predicted from inventory size via the scaling law.
+
+    Where n or n**exponent_b leaves the floats, the power is taken as
+    exp(exponent_b ln n); DomainError where that overflows too.
+    """
     n = _check_inventory(n)
     try:
         alpha = law.coeff_a * n ** law.exponent_b
     except OverflowError:
-        raise DomainError("concentration coeff_a * n**exponent_b overflows a float") from None
+        try:
+            alpha = law.coeff_a * math.exp(law.exponent_b * math.log(n))
+        except OverflowError:
+            raise DomainError("concentration coeff_a * n**exponent_b overflows a float") from None
     return _check_concentration(alpha)
 
 
@@ -219,8 +226,8 @@ def order_statistic_bands(spec: DirichletSpec, level: float) -> tuple[np.ndarray
     incomplete-beta inversions, all taken in one array call of
     _gamma.order_statistic_bands.  A bound below the smallest normal
     float is returned as that float.  A level outside (0, 1) raises
-    DomainError; a concentration outside [1e-100, 1e100] raises
-    NumericalError.
+    DomainError; a concentration outside [5e-3 / (n - 1), 1e10], the
+    domain of order_statistic_moments, raises its NumericalError.
     """
     _check_level(level)
     from . import _gamma

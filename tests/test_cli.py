@@ -184,10 +184,10 @@ class TestPredictAlpha:
             assert run(capsys, command, *args) == (3, "", message)
 
     @pytest.mark.parametrize(
-        "law", [("1000", "19.47", "1e10"), ("9" * 400, "19.47", "-0.95")]
+        "law", [("1000", "19.47", "1e10"), ("9" * 400, "19.47", "0.95")]
     )
     def test_overflowing_law_exits_3_naming_the_concentration(self, capsys, law):
-        # n ** exponent_b overflows a float, or n does not fit in one
+        # n ** exponent_b overflows a float, also when n does not fit in one
         n, coeff_a, exponent_b = law
         args = ["--n", n, "--coeff-a", coeff_a, "--exponent-b", exponent_b]
         message = "error: concentration coeff_a * n**exponent_b overflows a float\n"
@@ -196,6 +196,13 @@ class TestPredictAlpha:
         # (TestReconstruct.test_n_above_the_limit_is_a_usage_error)
         if int(n) <= 2000:
             assert run(capsys, "reconstruct", *args) == (3, "", message)
+
+    def test_inventory_beyond_the_floats_keeps_its_concentration(self, capsys):
+        # n = 10**309 is no float, but 19.47 n**-0.95 is
+        payload = run_json(capsys, "predict-alpha", "--n", "1" + "0" * 309)
+        assert payload["alpha_predicted"] == pytest.approx(5.48739156717e-293, rel=1e-11)
+        message = "error: concentration must be finite and > 0, got 0.0\n"
+        assert run(capsys, "predict-alpha", "--n", "1" + "0" * 400) == (3, "", message)
 
     @pytest.mark.parametrize("exponent_b, value", [("-1e-2", -0.01), ("-2.5E+1", -25.0),
                                                    ("-.5e1", -5.0)])

@@ -227,12 +227,19 @@ class TestPredictAlpha:
 
     @pytest.mark.parametrize(
         "n, law",
-        [(1000, AlphaScalingLaw(exponent_b=1e10)), (10**400, AlphaScalingLaw())],
+        [(1000, AlphaScalingLaw(exponent_b=1e10)), (10**400, AlphaScalingLaw(exponent_b=0.95))],
     )
     def test_overflowing_power_names_the_concentration(self, n, law):
         # n ** exponent_b overflows a float before the concentration exists
-        with pytest.raises(DomainError, match="concentration"):
+        with pytest.raises(DomainError, match="overflows a float"):
             predict_alpha(n, law)
+
+    def test_inventory_beyond_the_floats(self):
+        # n**b is taken as exp(b ln n) where n is no float
+        assert predict_alpha(10**309) == pytest.approx(19.47 * 10.0 ** (-0.95 * 309), rel=1e-12)
+        assert predict_alpha(10**400, AlphaScalingLaw(exponent_b=0.0)) == 19.47
+        with pytest.raises(DomainError, match="got 0.0"):
+            predict_alpha(10**400)
 
 
 class TestGaussLegendre:

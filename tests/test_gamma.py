@@ -2,11 +2,12 @@
 behind the order-statistic moments and bands, against 40-digit mpmath."""
 
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from phonodist import _gamma, _special, dirichlet
+from phonodist import _gamma, _special, dirichlet, io
 from phonodist.analysis import band_coverage, fit_language
 from phonodist.dirichlet import DirichletSpec, predict_alpha
 from phonodist.entropy import CountVector
@@ -186,8 +187,8 @@ def assert_quantile(n, alpha, r, tail, upper, x):
 
 
 # count tables whose fits reach the ends of the concentrations a fit gives, with
-# the concentration each fits: near-uniform tables give large ones, beyond
-# _gamma._CORNISH_FISHER_A, and one dominant phoneme tiny ones
+# the concentration each fits: near-uniform tables give large ones, above 1e10,
+# and one dominant phoneme tiny ones, below 5e-3/(n-1)
 FITTED_EXTREMES = {
     "near-uniform-2": ([5 * 10**13 + 12 * 10**6, 5 * 10**13 - 12 * 10**6], 1.06e13),
     "near-uniform-3": ([5 * 10**16 + 6 * 10**8, 5 * 10**16 - 6 * 10**8, 5 * 10**16], 4.85e16),
@@ -198,14 +199,29 @@ FITTED_EXTREMES = {
 
 @pytest.mark.parametrize("name", FITTED_EXTREMES)
 def test_bands_and_coverage_at_fitted_extremes_against_mpmath(name):
+    # the fits lie outside the bands' domain, so the coverage raises the
+    # moments' NumericalError for them
     counts, fitted = FITTED_EXTREMES[name]
     table = CountVector({f"ph{i}": c for i, c in enumerate(counts)})
     fit = fit_language(name, table)
+    assert fit.alpha_hat == pytest.approx(fitted, rel=0.01)
+    with pytest.raises(NumericalError) as info:
+        band_coverage(table)
+    with pytest.raises(NumericalError) as moments:
+        dirichlet.order_statistic_moments(DirichletSpec(fit.n, fit.alpha_hat))
+    assert str(info.value) == str(moments.value)
+
+
+@pytest.mark.parametrize("name", ["samoan", "bengali"])
+def test_band_coverage_counts_the_shares_inside_the_exact_bands(name):
+    # samoan's 13 shares all lie inside their bands, 3 of bengali's 40 do not
+    table = io.load_frequency_table(str(files("phonodist") / "data" / f"{name}.tsv"))
+    fit = fit_language(name, table)
     n, alpha = fit.n, fit.alpha_hat
-    assert alpha == pytest.approx(fitted, rel=0.01)
+    counts = sorted(table.positive_counts(), reverse=True)
     low, high = dirichlet.order_statistic_bands(DirichletSpec(n, alpha), 0.95)
     total, inside = sum(counts), 0
-    for rank, c in enumerate(sorted(counts, reverse=True), start=1):
+    for rank, c in enumerate(counts, start=1):
         r = n - rank + 1
         assert_quantile(n, alpha, r, 0.025, False, low[rank - 1])
         assert_quantile(n, alpha, r, 0.025, True, high[rank - 1])
@@ -217,13 +233,12 @@ def test_bands_and_coverage_at_fitted_extremes_against_mpmath(name):
 
 
 def test_bands_at_the_ends_of_the_concentration_range():
-    # at 1e100 each component is 1/n to rounding (its sd is 1e-50)
-    low, high = dirichlet.order_statistic_bands(DirichletSpec(7, 1e100), 0.95)
-    np.testing.assert_allclose(np.concatenate([low, high]), 1 / 7, rtol=1e-15, atol=0)
-    low, high = dirichlet.order_statistic_bands(DirichletSpec(3, 1e-100), 0.95)
-    for rank in (1, 2, 3):
-        assert_quantile(3, 1e-100, 4 - rank, 0.025, False, low[rank - 1])
-        assert_quantile(3, 1e-100, 4 - rank, 0.025, True, high[rank - 1])
+    # 1e10 and the floor 5e-3/(n - 1)
+    for n, alpha in ((7, 1e10), (2, 5e-3)):
+        low, high = dirichlet.order_statistic_bands(DirichletSpec(n, alpha), 0.95)
+        for rank in range(1, n + 1):
+            assert_quantile(n, alpha, n - rank + 1, 0.025, False, low[rank - 1])
+            assert_quantile(n, alpha, n - rank + 1, 0.025, True, high[rank - 1])
 
 
 @pytest.mark.parametrize("n,alpha", [(3, 2.0), (4, 1.0), (6, 0.5)])
@@ -239,11 +254,18 @@ def test_bands_where_the_first_fraction_denominator_is_zero(n, alpha):
         assert_quantile(n, alpha, n - rank + 1, 0.025, True, high[rank - 1])
 
 
-@pytest.mark.parametrize("alpha", [1e-101, 1e101])
+# just outside both ends of the domain at n = 3, [5e-3/2, 1e10], and far outside
+@pytest.mark.parametrize("alpha", [1e-101, math.nextafter(2.5e-3, 0.0), math.nextafter(1e10, math.inf),
+                                   1e101])
 def test_concentrations_outside_the_range_raise(alpha):
     spec = DirichletSpec(3, alpha)
-    with pytest.raises(NumericalError, match="outside"):
-        dirichlet.order_statistic_bands(spec, 0.95)
+    side, bound = ("below", "0.0025") if alpha < 1.0 else ("above", "1e+10")
+    message = (f"concentration {alpha:.3g} is {side} {bound}, where the order-statistic "
+               f"moments of n = 3 components miss their error bound")
+    for call in (dirichlet.order_statistic_moments, lambda spec: dirichlet.order_statistic_bands(spec, 0.95)):
+        with pytest.raises(NumericalError) as info:
+            call(spec)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n,r,q", [(7, 7, 1e-30), (7, 7, 1e-300), (30, 30, 1e-200), (7, 1, 1e-300)])
