@@ -9,10 +9,12 @@ bytes of the mean and sd arrays, or of the low and high band arrays.
 Moments: n in {2, 3, 5, 11, 20, 30, 60, 100, 160, 400, 1000, 1500, 1800,
 2000} times alpha in {the default law, 1, 37, the floor 5e-3/(n-1), 1e9,
 1e10, the law with coeff_a 0.01}.  Bands: n in {2, 3, 11, 30, 160, 1500}
-times thirteen concentrations from 1e-100 to 1e100 and the two ends of
-n's domain, 5e-3/(n-1) and 1e10, times the levels 0.5, 0.95 and 0.999;
-the concentrations outside that domain read its NumericalError.  A diff of two trees' output checks that a change keeps
-every result bit for bit:
+times the default law, thirteen concentrations from 1e-100 to 1e100 and
+the two ends of n's domain, 5e-3/(n-1) and 1e10, and n = 22 at alpha = 1,
+the unit-alpha case of perfbench's rank-curve workload, each at the
+levels 0.5, 0.95 and 0.999; the concentrations outside that domain read
+its NumericalError.  A diff of two trees' output checks that a change
+keeps every result bit for bit:
 
     python3 scripts/moments_digest.py > after.txt
     python3 scripts/moments_digest.py --src ../parent/src > before.txt
@@ -61,12 +63,13 @@ def lines():
         for label, alpha in alphas:
             result = outcome(moments, dirichlet.DirichletSpec(n, alpha))
             yield f"moments\tn={n}\t{label}\talpha={alpha!r}\t{result}"
-    for n in BAND_NS:
-        for alpha in (*BAND_ALPHAS, 5e-3 / (n - 1), 1e10):
-            for level in LEVELS:
-                result = outcome(dirichlet.order_statistic_bands, dirichlet.DirichletSpec(n, alpha),
-                                 level)
-                yield f"bands\tn={n}\talpha={alpha!r}\tlevel={level!r}\t{result}"
+    bands = [(n, alpha) for n in BAND_NS
+             for alpha in (dirichlet.predict_alpha(n), *BAND_ALPHAS, 5e-3 / (n - 1), 1e10)]
+    for n, alpha in bands + [(22, 1.0)]:
+        for level in LEVELS:
+            result = outcome(dirichlet.order_statistic_bands, dirichlet.DirichletSpec(n, alpha),
+                             level)
+            yield f"bands\tn={n}\talpha={alpha!r}\tlevel={level!r}\t{result}"
 
 
 def main() -> None:

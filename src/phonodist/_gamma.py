@@ -90,17 +90,14 @@ def _stirling(z):
     return series
 
 
-def _pmx(mu, weight, log_lambda=None):
-    """mu - log1p(mu) for mu > -1, to be multiplied by weight; below
-    mu = -1/2, log1p(mu) is taken as log_lambda when it is given.  Where
+def _pmx(mu, weight, log_lambda):
+    """mu - log1p(mu) for mu > -1, to be multiplied by weight, with
+    log1p(mu) taken as the given log_lambda below mu = -1/2.  Where
     weight * |mu| > 5 and |mu| < 1/2, an atanh series replaces the
     subtraction, whose absolute error of about 2e-16 |mu| the weight
     would multiply."""
     mu = np.asarray(mu, dtype=float)
-    if log_lambda is None:
-        out = mu - np.log1p(mu)
-    else:
-        out = np.where(mu < -0.5, mu - log_lambda, mu - np.log1p(np.maximum(mu, -0.5)))
+    out = np.where(mu < -0.5, mu - log_lambda, mu - np.log1p(np.maximum(mu, -0.5)))
     near = (np.abs(mu) < 0.5) & (weight * np.abs(mu) > 5.0)
     if near.any():
         m = mu[near]
@@ -164,7 +161,7 @@ def _fraction_steps(a: float) -> int:
     larger t it converges in fewer."""
     t = max(a + 1.0, _SMALL_A_T if a < 1.0 else 0.0, 1.3 * a if a >= _TEMME_A else 0.0)
     b = itertools.accumulate(itertools.repeat(2.0, 99999), initial=t + 1.0 - a)  # b_i = b_i-1 + 2
-    return lentz(1e300, 1.0 / next(b), ((-i * (i - a), b_i) for i, b_i in enumerate(b, 1)))[1]
+    return lentz(next(b), ((-i * (i - a), b_i) for i, b_i in enumerate(b, 1)))[1]
 
 
 def _fraction_q(a, s, t):
@@ -225,7 +222,7 @@ def _temme_coefficients() -> np.ndarray:
 def _temme(a, t):
     """(ln P, ln Q) by Temme's uniform expansion, for large a and t near a."""
     mu = (t - a) / a
-    eta = np.sign(mu) * np.sqrt(2.0 * _pmx(mu, a))
+    eta = np.sign(mu) * np.sqrt(2.0 * _pmx(mu, a, np.log1p(mu)))
     z = np.maximum(0.5 * a * eta * eta, 1e-300)
     coef = _temme_coefficients().T @ a ** -np.arange(float(_TEMME_ORDERS))
     series = np.polynomial.polynomial.polyval(eta, coef)
@@ -416,13 +413,14 @@ class _Beta:
     Numerical Recipes' betacf is taken for the lower tail up to
     x = (a + 1 + 2 sqrt(a+1)) / (a + b + 2), capped at 1/2, and for the
     upper tail, as I_{1-x}(b, a), above it.  The fraction needs the most
-    steps at that pivot, from either side, so every element takes that
-    many steps, and two more, of the forward recurrence of its
-    convergents: its value then depends on a, b and x alone.  Numerical
-    Recipes' pivot, (a+1)/(a+b+2), needs 24 steps just above it for
-    a = 0.77, b = 22.3, this one 13; the upper tail there is still about
-    1e-2 for a near 1 and 2e-4 for a = 0.016, so that taking it as 1 - I
-    costs at most a few hundred ulps.
+    steps at that pivot, from either side, so every element takes k + 2
+    double steps of the forward recurrence of its convergents, k the
+    steps of the odd part (_special.beta_fraction) there, whose k-th
+    approximant is the fraction's (2k+1)-th: its value then depends on a,
+    b and x alone.  Numerical Recipes' pivot, (a+1)/(a+b+2), needs 25
+    steps just above it for a = 0.77, b = 22.3, this one 14; the upper
+    tail there is still about 1e-2 for a near 1 and 2e-4 for a = 0.016,
+    so that taking it as 1 - I costs at most a few hundred ulps.
     """
 
     def __init__(self, a: float, b: float):
@@ -431,8 +429,8 @@ class _Beta:
         root = 2.0 * math.sqrt(a + 1.0)
         self.pivot = min(math.log((a + 1.0 + root) / (b + 1.0 - root)) if b + 1.0 > root else 0.0,
                          0.0)
-        x = 1.0 / (1.0 + math.exp(-self.pivot))
-        steps = 2 + max(beta_fraction(a, b, x)[1], beta_fraction(b, a, 1.0 - x)[1])
+        x, y = 1.0 / (1.0 + math.exp(-self.pivot)), 1.0 / (1.0 + math.exp(self.pivot))
+        steps = 2 + max(beta_fraction(a, b, x, y)[1], beta_fraction(b, a, y, x)[1])
         m = np.arange(1.0, steps + 1.0)
         # the partial numerators over x: odd and even steps, for (a, b) and (b, a)
         self.numerators = np.array([[m * (q - m) / ((p + 2 * m - 1.0) * (p + 2 * m)),

@@ -2,9 +2,9 @@
 digamma, ln Gamma(1 + a) near a = 0 and the zeta values behind it,
 Stirling's remainder and ln B(a, b) in the Stirling-difference form of
 DiDonato & Morris (1986, ACM TOMS 12:377), and the one modified Lentz
-loop: analysis takes Student's t tail from the incomplete beta fraction
-(DLMF 8.17.22), and _gamma the lengths of its recurrences from the step
-counts of that fraction and of Legendre's incomplete gamma fraction.
+loop, on which the incomplete beta fraction (DLMF 8.17.22) runs as its odd
+part: analysis takes Student's t tail from that fraction, and _gamma the
+lengths of its recurrences from its step counts and Legendre's fraction's.
 """
 
 from __future__ import annotations
@@ -84,40 +84,33 @@ def log_beta(a: float, b: float) -> float:
             - b * math.log1p(a / b) + stirling(a) + stirling(b) - stirling(a + b))
 
 
-def lentz(c: float, d: float, terms, every: int = 1) -> tuple[float, int]:
+def lentz(first: float, terms) -> tuple[float, int]:
     """(h, m) of a continued fraction by the modified Lentz method, given its
-    ratios c and d = 1/D after its first term and an iterable of the later
-    terms (a_k, b_k): h is d times c d of every step, m the steps over
-    ``every`` when a check after each ``every`` steps first finds c d within
-    1e-15 of 1.  A denominator that rounds to 0 is taken as 1e-300."""
-    h = d
+    first denominator and its later terms (a_k, b_k): h is 1/first times
+    c d of every step, from c = 1e300 and d = 1/first, and m the steps until
+    c d is within 1e-15 of 1.  A zero denominator is taken as 1e-300."""
+    c = 1e300
+    h = d = 1.0 / (first or 1e-300)
     for k, (a, b) in enumerate(terms, start=1):
         d, c = 1.0 / ((a * d + b) or 1e-300), (b + a / c) or 1e-300
         h *= c * d
-        if k % every == 0 and abs(c * d - 1.0) <= 1e-15:
-            return h, k // every
+        if abs(c * d - 1.0) <= 1e-15:
+            return h, k
     raise ArithmeticError("continued fraction did not converge")
 
 
-def beta_fraction(a: float, b: float, x: float, y: float | None = None) -> tuple[float, int]:
+def beta_fraction(a: float, b: float, x: float, y: float) -> tuple[float, int]:
     """(h, m): h = 1 / (1 + d_1 / (1 + d_2 / (1 + ...))), the fraction with
-    I_x(a, b) = x**a (1-x)**b h / (a B(a, b)) (DLMF 8.17.22), and the m
-    double steps it takes; it converges fast below x = (a+1)/(a+b+2).  Its
-    odd terms d_2k+1 = -x r_k, r_k = (a+k)(a+b+k) / ((a+2k)(a+2k+1)), make
-    1 + d_2k+1 cancel near x = 1, which costs about a ulps of h at large a.
-    Given y = 1 - x to its own precision, h comes from the fraction's odd
-    part, whose denominators 1 + d_2k + d_2k+1 take 1 + d_2k+1 as
-    (1 - r_k) + y r_k where r_k <= 1; without y, from the fraction itself,
-    whose first denominator is 0 at x = (a+1)/(a+b)."""
+    I_x(a, b) = x**a (1-x)**b h / (a B(a, b)) (DLMF 8.17.22), from m steps
+    of its odd part, whose m-th approximant is its (2m+1)-th; it converges
+    fast below x = (a+1)/(a+b+2).  Near x = 1 the odd terms d_2k+1 = -x r_k,
+    r_k = (a+k)(a+b+k) / ((a+2k)(a+2k+1)), cancel in 1 + d_2k+1, which is
+    taken as (1 - r_k) + y r_k where r_k <= 1, y = 1 - x to its own precision."""
     def term(n):
         m = n // 2
         if n % 2:
             return -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
         return m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
-
-    if y is None:
-        first = 1.0 - (a + b) * x / (a + 1.0)
-        return lentz(1.0, 1.0 / (first or 1e-300), ((term(n), 1.0) for n in range(2, 200000)), 2)
 
     def odd(k):
         """1 + d_2k+1."""
@@ -126,5 +119,5 @@ def beta_fraction(a: float, b: float, x: float, y: float | None = None) -> tuple
             return 1.0 + term(2 * k + 1)
         return (s + (a + k) * (a + b + k) * y) / ((a + 2 * k) * (a + 2 * k + 1.0))
 
-    return lentz(1e300, 1.0 / (odd(0) or 1e-300),
-                 ((-term(2 * k - 1) * term(2 * k), odd(k) + term(2 * k)) for k in range(1, 100000)))
+    return lentz(odd(0), ((-term(2 * k - 1) * term(2 * k), odd(k) + term(2 * k))
+                          for k in range(1, 100000)))

@@ -753,6 +753,22 @@ def test_every_export_resolves_lazily():
         exec("from phonodist import no_such_name", {})
 
 
+def test_package_listing_names_every_export_without_loading_one():
+    # in a fresh interpreter, so that no export pytest has already loaded counts
+    src = Path(phonodist.__file__).resolve().parents[1]
+    probe = ("import json, sys, phonodist; "
+             "bound = [n for n in phonodist.__all__ if n in vars(phonodist)]; listed = dir(phonodist); "
+             "print(json.dumps({'bound': bound, 'listed': listed, 'numpy': 'numpy' in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["bound"] == []
+    assert set(_EXPORTS) <= set(result["listed"])
+    assert result["listed"] == sorted(result["listed"])
+    assert result["numpy"] is False
+
+
 @pytest.mark.parametrize("module", sorted(phonodist._EXPORTS))
 def test_module_all_lists_only_its_names_and_every_export(module):
     mod = importlib.import_module(f"phonodist.{module}")

@@ -143,6 +143,32 @@ def mp_relative_error(n, alpha, r, tail, upper, x):
         return float(gap / mpmath.exp(log_slope))
 
 
+def mp_root_relative_error(n, alpha, r, tail, upper, x):
+    """(x - x*) / x* for x within about 1e-9 of 1, where G is too far from
+    linear for mp_relative_error: x* = 1 - v* by bisection in ln v at 60
+    digits, with the marginal's upper tail 1 - F(1 - v) taken as
+    I_v((n-1) alpha, alpha) and 1 - G as I_{1-F}(n-r+1, r)."""
+    with mpmath.workdps(60):
+        a, b, tail = mpmath.mpf(alpha), (n - 1) * mpmath.mpf(alpha), mpmath.mpf(tail)
+        target = tail if upper else 1 - tail  # of 1 - G, which rises with v
+
+        def excess(log_v):
+            f_upper = mpmath.betainc(b, a, 0, mpmath.exp(log_v), regularized=True)
+            return mpmath.betainc(n - r + 1, r, 0, f_upper, regularized=True) - target
+
+        v = 1 - mpmath.mpf(x)
+        low, high = mpmath.log(v) - 1, mpmath.log(v) + 1
+        while excess(low) > 0:
+            low -= 1
+        while excess(high) < 0:
+            high += 1
+        for _ in range(110):
+            middle = (low + high) / 2
+            low, high = (middle, high) if excess(middle) < 0 else (low, middle)
+        root = mpmath.exp((low + high) / 2)
+        return float((root - v) / (1 - root))
+
+
 @pytest.mark.parametrize("n,law", [(2, "default"), (5, "default"), (11, "default"), (30, "default"),
                                    (160, "default"), (22, "alpha=1"), (11, "alpha=1e4")])
 def test_order_statistic_quantile_against_mpmath(n, law):
@@ -177,11 +203,13 @@ def test_bands_keep_the_smallest_normal_floor():
 def assert_quantile(n, alpha, r, tail, upper, x):
     """x is within 1e-12 of the exact quantile, or at the clamp beyond which
     the exact quantile lies: at most the smallest normal float, or within an
-    ulp of 1."""
+    ulp of 1.  Within 1e-9 of 1 the exact quantile is a direct root."""
     if x == SMALLEST_NORMAL:
         assert mp_relative_error(n, alpha, r, tail, upper, x) >= -1e-12, (r, tail, upper, x)
     elif x == 1.0:
         assert mp_relative_error(n, alpha, r, tail, upper, 1.0 - 2.0 ** -53) <= 1e-12, (r, tail, upper, x)
+    elif x > 1.0 - 1e-9:
+        assert abs(mp_root_relative_error(n, alpha, r, tail, upper, x)) <= 1e-12, (r, tail, upper, x)
     else:
         assert abs(mp_relative_error(n, alpha, r, tail, upper, x)) <= 1e-12, (r, tail, upper, x)
 
@@ -233,8 +261,8 @@ def test_band_coverage_counts_the_shares_inside_the_exact_bands(name):
 
 
 def test_bands_at_the_ends_of_the_concentration_range():
-    # 1e10 and the floor 5e-3/(n - 1)
-    for n, alpha in ((7, 1e10), (2, 5e-3)):
+    # 1e10 and the floor 5e-3/(n - 1); at n = 3 rank 3's upper bound is 1 - 4.2e-12
+    for n, alpha in ((7, 1e10), (2, 5e-3), (3, 2.5e-3)):
         low, high = dirichlet.order_statistic_bands(DirichletSpec(n, alpha), 0.95)
         for rank in range(1, n + 1):
             assert_quantile(n, alpha, n - rank + 1, 0.025, False, low[rank - 1])
