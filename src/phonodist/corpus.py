@@ -9,12 +9,11 @@ start; an end-of-word marker is appended internally so every word is a
 leaf of the prefix tree, but the marker is not a phoneme and gets no
 features.
 
-Building the prefix tree is the one pass over a lexicon's entries:
-``build_feature_table`` builds it once and reads every column off it,
-the observed probabilities from its per-phoneme token counts, all
-segmental information from a single sweep of its edges, and every
-phoneme's word set from its end-marker edges.  The lexical information
-gains are read off the same tree, in one bottom-up sweep of its edges.
+No tree is built: one sweep over the sorted entries, the only pass over
+them, closes the prefix tree's nodes children first and holds only the
+open path of the current word.  ``build_feature_table`` reads every
+column off the closed nodes, and ``lexical_information_gain_exact`` each
+node's word entropy off its children's.
 
 The feature columns are ``array('d')`` and the constraint targets are
 summed exactly, so building a feature table loads no numpy; only the two
@@ -29,7 +28,8 @@ import math
 import numbers
 from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .entropy import cwj_estimate
 from .errors import CoverageError, DomainError
@@ -58,7 +58,8 @@ class PhonemizedLexicon(NamedTuple):
     """Token-weighted word list over a phoneme inventory.
 
     Entries are merged (one row per distinct phoneme sequence, counts
-    summed), so the lexicon is homophone-free by construction.
+    summed), so the lexicon is homophone-free by construction, and sorted.
+    Equal labels are one ``str`` object, so a lexicon holds each label once.
     """
 
     entries: tuple[tuple[Word, int], ...]
@@ -66,8 +67,9 @@ class PhonemizedLexicon(NamedTuple):
     @classmethod
     def build(cls, entries: Iterable[tuple[Sequence[str], int]]) -> "PhonemizedLexicon":
         merged: dict[Word, int] = {}
+        labels: dict[str, str] = {}
         for seq, count in entries:
-            word = tuple(seq)
+            word = tuple([labels.setdefault(p, p) for p in seq])
             if not word:
                 raise DomainError("lexicon contains an empty word")
             if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count <= 0:
@@ -80,47 +82,34 @@ class PhonemizedLexicon(NamedTuple):
         return cls(entries=tuple(sorted(merged.items())))
 
 
-class _PrefixTree:
-    """Token-weighted trie over end-marker-augmented words, and each
-    phoneme's token count in ``weight``."""
+def _closed_nodes(lexicon: PhonemizedLexicon) -> Iterator[tuple[Word, dict[str, int]]]:
+    """Yield ``(prefix, children)`` for every node of the lexicon's prefix
+    tree over end-marker-augmented words, children before parents.
 
-    def __init__(self, lexicon: PhonemizedLexicon):
-        self.edge: dict[Word, dict[str, int]] = defaultdict(dict)
-        self.weight: dict[str, int] = defaultdict(int)
-        for seq, count in lexicon.entries:
-            prefix: Word = ()
-            for sym in seq + (END_MARKER,):
-                children = self.edge[prefix]
-                children[sym] = children.get(sym, 0) + count
-                self.weight[sym] += count
-                prefix = prefix + (sym,)
-        del self.weight[END_MARKER]
-
-    def segmental_information(self) -> dict[str, float]:
-        """Average surprisal of every phoneme given the prefixes preceding it.
-
-        One sweep of the edges accumulates (w/W_p)·ln(out/w), with W_p the
-        phoneme's token count.  Word-final positions count through the
-        end marker, so the continuation mass at each context includes
-        words ending there.
-        """
-        info = dict.fromkeys(self.weight, 0.0)
-        for children in self.edge.values():
-            out = sum(children.values())
-            for sym, w in children.items():
-                if sym in info:
-                    info[sym] += (w / self.weight[sym]) * math.log(out / w)
-        return info
-
-    def word_sets(self) -> dict[str, list[int]]:
-        """Token counts of the words containing each phoneme, in entry order:
-        sorted entries make each word's node before any longer word's."""
-        sets: dict[str, list[int]] = defaultdict(list)
-        for word, children in self.edge.items():
-            if END_MARKER in children:
-                for p in set(word):
-                    sets[p].append(children[END_MARKER])
-        return sets
+    ``children`` maps each next symbol to its token weight.  One sweep of
+    the entries in ``build``'s order holds only the open path of the
+    current word: a node closes once the first entry that leaves its
+    subtree arrives, or at the end.  Entries out of that order raise
+    ``DomainError``, since their subtrees would close early.
+    """
+    path: list[dict[str, int]] = [{}]  # children of the open nodes, root first
+    previous: Word = ()
+    for word, count in lexicon.entries:
+        depth = 0  # length of the prefix shared with the previous word
+        for a, b in zip(previous, word):
+            if a != b:
+                break
+            depth += 1
+        if depth == len(word) or (depth < len(previous) and word[depth] < previous[depth]):
+            raise DomainError("lexicon entries must be distinct and sorted, as build leaves them")
+        for closing in range(len(previous), depth, -1):
+            yield previous[:closing], path.pop()
+        path.extend([{} for _ in range(len(word) - depth)])
+        for children, sym in zip(path, word + (END_MARKER,)):
+            children[sym] = children.get(sym, 0) + count
+        previous = word
+    for closing in range(len(previous), -1, -1):
+        yield previous[:closing], path.pop()
 
 
 class LexicalGains(NamedTuple):
@@ -143,41 +132,43 @@ def lexical_information_gain_exact(lexicon: PhonemizedLexicon) -> LexicalGains:
 
     H(W|o), the plug-in entropy of the words that begin with o, follows
     from the chain rule H(W|o) = sum_s (w/W)(ln(W/w) + H(W|o+s)) over o's
-    children, with no cancellation; a word end (leaf) has entropy 0.  A
-    node enters the tree after its parent, so one sweep of the edges in
-    reverse reaches children first.  The lexicon is homophone-free, so the
-    gains weighted by transition probability sum to the lexical entropy.
+    children, with no cancellation; a word end (leaf) has entropy 0.  Each
+    node closes after its children, so its H(W|o) comes from theirs, which
+    are then dropped.  The lexicon is homophone-free, so the gains
+    weighted by transition probability sum to the lexical entropy.
     """
-    tree = _PrefixTree(lexicon)
-    word_entropy: dict[Word, float] = {}
-    for prefix, children in reversed(tree.edge.items()):
-        out = sum(children.values())
-        word_entropy[prefix] = sum(
-            (w / out) * (math.log(out / w) + word_entropy.get(prefix + (sym,), 0.0))
-            for sym, w in children.items()
-        )
-
-    total_tokens = sum(tree.edge[()].values())
+    closed: dict[Word, float] = {}  # H(W|o) of closed nodes whose parent is open
     gains: dict[tuple[str, Word], float] = {}
-    weighted_total = 0.0
-    phoneme_weight: dict[str, float] = defaultdict(float)
-    phoneme_sum: dict[str, float] = defaultdict(float)
-    for prefix, children in tree.edge.items():
+    # each symbol's transition weights and gains, summed below by _dot, so
+    # that the order in which nodes close rounds nothing
+    weights: dict[str, list[int]] = defaultdict(list)
+    symbol_gains: dict[str, list[float]] = defaultdict(list)
+    for prefix, children in _closed_nodes(lexicon):
+        out = sum(children.values())
+        below = {sym: closed.pop(prefix + (sym,), 0.0) for sym in children}
+        entropy = sum(
+            (w / out) * (math.log(out / w) + below[sym]) for sym, w in children.items()
+        )
         for sym, w in children.items():
-            gain = word_entropy[prefix] - word_entropy.get(prefix + (sym,), 0.0)
+            gain = entropy - below[sym]
             gains[(sym, prefix)] = gain
-            weighted_total += (w / total_tokens) * gain
-            if sym != END_MARKER:
-                phoneme_weight[sym] += w
-                phoneme_sum[sym] += w * gain
+            weights[sym].append(w)
+            symbol_gains[sym].append(gain)
+        closed[prefix] = entropy
     per_phoneme = {
-        p: phoneme_sum[p] / phoneme_weight[p] for p in sorted(phoneme_weight)
+        p: _dot(weights[p], symbol_gains[p]) / sum(weights[p])
+        for p in sorted(weights)
+        if p != END_MARKER
     }
+    # the root closes last, so out is the lexicon's token total
+    weighted = _dot(
+        chain.from_iterable(weights.values()), chain.from_iterable(symbol_gains.values())
+    )
     return LexicalGains(
         gains=gains,
         per_phoneme=per_phoneme,
-        lexical_entropy=word_entropy[()],
-        weighted_total=weighted_total,
+        lexical_entropy=closed[()],
+        weighted_total=weighted / out,
     )
 
 
@@ -241,8 +232,19 @@ def build_feature_table(
     observed probabilities renormalized over the matched ones; contexts
     for the two corpus features still come from the full lexicon.
     """
-    tree = _PrefixTree(lexicon)
-    weight = tree.weight
+    weight: dict[str, int] = defaultdict(int)
+    surprisal: dict[str, float] = defaultdict(float)  # sum of w ln(out/w)
+    word_sets: dict[str, list[int]] = defaultdict(list)
+    for prefix, children in _closed_nodes(lexicon):
+        out = sum(children.values())
+        for sym, w in children.items():
+            if sym == END_MARKER:
+                for p in set(prefix):
+                    word_sets[p].append(w)
+            else:
+                weight[sym] += w
+                if w != out:  # a lone child adds w ln 1 = 0
+                    surprisal[sym] += w * math.log(out / w)
     occurring = sorted(weight, key=lambda p: (-weight[p], p))
     excluded = tuple(p for p in occurring if p not in incidence.probs)
     matched = [p for p in occurring if p in incidence.probs]
@@ -259,9 +261,7 @@ def build_feature_table(
     mass = sum(probs.values())
     observed = array("d", [probs[p] / mass for p in matched])
     cost = array("d", [-math.log(incidence.probs[p]) for p in matched])
-    seg_info = tree.segmental_information()
-    word_sets = tree.word_sets()
-    seg = array("d", [seg_info[p] for p in matched])
+    seg = array("d", [surprisal[p] / weight[p] for p in matched])
     lex = array("d", [cwj_estimate(word_sets[p]) for p in matched])
     return FeatureTable(
         phonemes=tuple(matched),

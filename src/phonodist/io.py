@@ -13,7 +13,6 @@ that return them, and none of the readers loads numpy.
 from __future__ import annotations
 
 import math
-import unicodedata
 from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Literal
@@ -35,21 +34,21 @@ __all__ = [
 _INT64_MAX = 2**63 - 1
 
 
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
-
-
 def _rows(
     path: str | Path,
     columns: tuple[str, ...],
     header: Literal["none", "optional", "required"] = "none",
 ) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, cells)`` for each data row, split on tabs.
+    """Yield ``(lineno, cells)`` for each data row, normalized to NFC and
+    split on tabs.  No tab composes with its neighbours, so the cells are
+    those of the raw line, each normalized; error messages echo the raw line.
 
     A header row is the first non-comment row whose stripped cells equal
     ``columns``; a required header that is missing is an error.  Every
     data row must have ``len(columns)`` cells.
     """
+    from unicodedata import normalize  # loaded only when a file is read
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -60,7 +59,7 @@ def _rows(
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        cells = line.split("\t")
+        cells = normalize("NFC", line).split("\t")
         if pending_header:
             pending_header = False
             if [c.strip() for c in cells] == list(columns):
@@ -100,7 +99,7 @@ def load_frequency_table(path: str | Path) -> CountVector:
     """Read `phoneme<TAB>count` rows into a CountVector."""
     counts: dict[str, int] = {}
     for lineno, (label, count_text) in _rows(path, ("phoneme", "count")):
-        label = _nfc(label.strip())
+        label = label.strip()
         count = _count(path, lineno, count_text)
         if label in counts:
             raise IngestError(f"{path}:{lineno}: duplicate phoneme {label!r}")
@@ -119,7 +118,7 @@ def load_lexicon(path: str | Path) -> PhonemizedLexicon:
     entries = []
     for lineno, (count_text, phonemes) in _rows(path, ("count", "phonemes")):
         count = _count(path, lineno, count_text)
-        word = tuple(_nfc(p) for p in phonemes.split() if p)
+        word = phonemes.split()
         if not word:
             raise IngestError(f"{path}:{lineno}: empty word")
         if count == 0:
@@ -143,7 +142,7 @@ def load_incidence(path: str | Path) -> IncidenceTable:
     for lineno, (label, with_text, total_text) in _rows(
         path, _INCIDENCE_HEADER, header="required"
     ):
-        label = _nfc(label.strip())
+        label = label.strip()
         with_count = _count(path, lineno, with_text, "languages_with")
         total = _count(path, lineno, total_text, "languages_total")
         if with_count <= 0 or with_count > total:
@@ -166,7 +165,7 @@ def load_feature_table(path: str | Path) -> FeatureTable:
 
     phonemes, rows = [], []
     for lineno, cells in _rows(path, _FEATURE_HEADER, header="required"):
-        label = _nfc(cells[0].strip())
+        label = cells[0].strip()
         if label in phonemes:
             raise IngestError(f"{path}:{lineno}: duplicate phoneme {label!r}")
         phonemes.append(label)

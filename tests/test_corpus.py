@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from array import array
 from collections import defaultdict
 from fractions import Fraction
@@ -15,7 +16,6 @@ from phonodist.corpus import (
     IncidenceTable,
     PhonemizedLexicon,
     build_feature_table,
-    _PrefixTree,
     constraint_expectations,
     lexical_information_gain_exact,
 )
@@ -40,11 +40,6 @@ def seg_info_oracle(entries, p):
     )
 
 
-def seg_info(lex):
-    """Segmental information of every phoneme, off one prefix-tree traversal."""
-    return _PrefixTree(lex).segmental_information()
-
-
 def inventory(lex):
     """Every phoneme that occurs in the lexicon's entries."""
     return {p for seq, _ in lex.entries for p in seq}
@@ -53,6 +48,12 @@ def inventory(lex):
 def full_table(lex):
     """Feature table of a lexicon whose every phoneme has incidence 0.5."""
     return build_feature_table(lex, IncidenceTable(dict.fromkeys(inventory(lex), 0.5)))
+
+
+def seg_info(lex):
+    """The seg_info column of a feature table that matches every phoneme."""
+    table = full_table(lex)
+    return dict(zip(table.phonemes, table.seg_info))
 
 
 def lex_div(lex):
@@ -100,6 +101,21 @@ words_strategy = st.lists(
     min_size=1,
     max_size=50,
 )
+
+
+def heavy_rows(seed):
+    """Rows whose heavy words spell "p" alone, beside 200 singletons that
+    contain it, so that its weighted gains cancel in their sum."""
+    rng = random.Random(seed)
+    others = [f"q{i}" for i in range(9)]
+    rows = [(("p",) * k, 10**4 * (7 - k)) for k in (1, 2, 3)]
+    for _ in range(200):
+        word = rng.choices(others, k=rng.randint(1, 4))
+        word.insert(rng.randrange(len(word) + 1), "p")
+        rows.append((tuple(word), 1))
+    for _ in range(40):
+        rows.append((tuple(rng.choices(others, k=rng.randint(2, 5))), rng.randint(3, 5)))
+    return rows
 
 
 class TestLexiconConstruction:
@@ -203,6 +219,7 @@ class TestSegmentalInformation:
     @settings(max_examples=40, deadline=None)
     def test_non_negative(self, rows):
         lex = PhonemizedLexicon.build(rows)
+        assume(len(inventory(lex)) >= 2)  # a feature table needs two phonemes
         assert all(v >= -1e-12 for v in seg_info(lex).values())
 
 
@@ -266,6 +283,31 @@ class TestLexicalInformationGain:
         lex = PhonemizedLexicon.build(rows)
         result = lexical_information_gain_exact(lex)
         assert abs(result.weighted_total - result.lexical_entropy) < 1e-10
+
+    @given(words_strategy)
+    @example(FIXTURE)
+    @example(heavy_rows(0))
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_means_are_summed_exactly(self, rows):
+        # the weighted sums of the returned gains are exact, and each mean
+        # rounds twice: the sum, then the division; heavy_rows makes the
+        # weighted gains of "p" cancel, which a running sum does not survive
+        lex = PhonemizedLexicon.build(rows)
+        result = lexical_information_gain_exact(lex)
+        weights = defaultdict(int)
+        for seq, c in lex.entries:
+            word = tuple(seq) + (END_MARKER,)
+            for i, sym in enumerate(word):
+                weights[(sym, word[:i])] += c
+        total = sum(c for _, c in lex.entries)
+        exact = sum(weights[t] * Fraction(g) for t, g in result.gains.items()) / total
+        assert abs(Fraction(result.weighted_total) - exact) <= 2**-52 * abs(exact)
+        for p, mean in result.per_phoneme.items():
+            edges = [t for t in result.gains if t[0] == p]
+            exact = sum(weights[t] * Fraction(result.gains[t]) for t in edges) / sum(
+                weights[t] for t in edges
+            )
+            assert abs(Fraction(mean) - exact) <= 2**-52 * abs(exact)
 
     def test_mutual_information_decomposition(self):
         # joint over (word, phoneme-token): p(w, p) ~ count(w) * multiplicity
@@ -346,7 +388,6 @@ class TestFeatureTable:
         table = build_feature_table(lex, incidence, coverage_floor=0.0)
         assert set(table.excluded) == inventory(lex) & unlisted
         tokens = {p: sum(c * seq.count(p) for seq, c in lex.entries) for p in matched}
-        word_sets = _PrefixTree(lex).word_sets()
         for i, p in enumerate(table.phonemes):
             assert table.observed_prob[i] == pytest.approx(
                 tokens[p] / sum(tokens.values()), rel=1e-14
@@ -356,7 +397,6 @@ class TestFeatureTable:
                 seg_info_oracle(lex.entries, p), abs=1e-12
             )
             word_set = [c for seq, c in lex.entries if p in seq]
-            assert word_sets[p] == word_set
             assert table.lex_div[i] == cwj_estimate(np.asarray(word_set, dtype=np.int64))
 
 
@@ -382,6 +422,56 @@ def test_one_pass_over_the_entries(reader):
     entries = _CountedEntries(fixture_lexicon().entries)
     reader(PhonemizedLexicon(entries))
     assert entries.passes == 1
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((("b",), 1), (("a",), 1)),
+        ((("a", "b"), 1), (("a",), 1)),
+        ((("a",), 1), (("a",), 2)),
+    ],
+    ids=["unsorted", "longer-first", "duplicated"],
+)
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda lex: build_feature_table(lex, toy_incidence()),
+        lexical_information_gain_exact,
+    ],
+    ids=["build_feature_table", "lexical_information_gain_exact"],
+)
+def test_entries_out_of_build_order_are_rejected(reader, entries):
+    with pytest.raises(DomainError, match="sorted"):
+        reader(PhonemizedLexicon(entries))
+
+
+def test_equal_labels_are_one_object():
+    # labels joined at run time are equal strings but distinct objects
+    words = [("".join(["p", "0"]), "".join(["p", str(k)])) for k in range(3)]
+    assert words[0][0] is not words[1][0]
+    lex = PhonemizedLexicon.build((word, 1) for word in words)
+    labels = [label for word, _ in lex.entries for label in word]
+    assert len({id(label) for label in labels}) == len(set(labels)) == 3
+
+
+def test_feature_table_memory_is_path_sized():
+    # every count is at least 3, so f1 = 0 and no CWJ tail runs; a prefix
+    # tree of this lexicon would take about 16 MB
+    rng = random.Random(20000)
+    labels = [f"p{i}" for i in range(40)]
+    lex = PhonemizedLexicon.build(
+        (rng.choices(labels, k=rng.randint(2, 7)), rng.randint(3, 40)) for _ in range(20000)
+    )
+    incidence = IncidenceTable(dict.fromkeys(labels, 0.5))
+    assert len(lex.entries) > 17000
+    tracemalloc.start()
+    try:
+        build_feature_table(lex, incidence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 class TestConstraintExpectations:

@@ -8,8 +8,11 @@ whole is (missing, undecodable, empty, too few rows).
 import unicodedata
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phonodist import cli, io
+from phonodist.corpus import PhonemizedLexicon
 from phonodist.errors import IngestError
 
 INT64_MAX = 2**63 - 1
@@ -177,6 +180,45 @@ def test_labels_are_nfc_normalized(tmp_path):
     assert E_COMPOSED in counts.entries
     lexicon = io.load_lexicon(_write(tmp_path, f"2\t{E_DECOMPOSED} b\n"))
     assert lexicon.entries == (((E_COMPOSED, "b"), 2),)
+
+
+# letters, composed and decomposed marks (U+0344 decomposes to two), marks
+# after spaces, spaces that NFC maps (U+2000) or keeps (U+00A0, U+3000),
+# and Hangul jamo that NFC composes into syllables
+NFC_ALPHABET = "ab e\u00e9\u0301\u0308\u0327\u0344\u2000\u00a0\u3000\u1100\u1161\u11a8\u212b"
+raw_labels = st.lists(st.text(NFC_ALPHABET, min_size=1, max_size=6), min_size=2, max_size=5)
+
+
+@given(raw_labels)
+@settings(max_examples=100, deadline=None)
+def test_line_nfc_equals_cell_nfc(tmp_path_factory, raw):
+    """Each reader's labels are the per-cell NFC of the raw split, though
+    every data line is normalized once as a whole."""
+    labels = [unicodedata.normalize("NFC", label.strip()) for label in raw]
+    assume(all(labels) and len(set(labels)) == len(labels))
+    tmp_path = tmp_path_factory.mktemp("nfc")
+
+    table = io.load_frequency_table(_write(tmp_path, "".join(f"{r}\t1\n" for r in raw)))
+    assert list(table.entries) == labels
+    rows = "".join(f"{r}\t1\t2\n" for r in raw)
+    incidence = io.load_incidence(_write(tmp_path, INCIDENCE_HEADER + rows))
+    assert list(incidence.probs) == labels
+    share = repr(1 / len(raw))
+    rows = "".join(f"{r}\t{share}\t1.0\t0.5\t0.2\n" for r in raw)
+    features = io.load_feature_table(_write(tmp_path, FEATURE_HEADER + rows))
+    assert list(features.phonemes) == labels
+
+    words = [[unicodedata.normalize("NFC", p) for p in r.split()] for r in raw]
+    assume(all(words))
+    lexicon = io.load_lexicon(_write(tmp_path, "".join(f"2\t{r}\n" for r in raw)))
+    assert lexicon == PhonemizedLexicon.build((word, 2) for word in words)
+
+
+def test_column_count_error_echoes_the_raw_line(tmp_path):
+    line = f"{E_DECOMPOSED}\u2000\t1\t2"
+    with pytest.raises(IngestError) as excinfo:
+        io.load_frequency_table(_write(tmp_path, f"a\t1\n{line}\n"))
+    assert str(excinfo.value).endswith(f"got 3 in {line!r}")
 
 
 @pytest.mark.parametrize(
