@@ -9,22 +9,23 @@ target, so two thirds are rank-deficient.  Prints one line per problem:
 seed, trial, "converged" or the error text, whether the rank warning was
 given, the iterations, the sha256 (first 16 hex digits) of lambda0,
 lambdas, probs, residuals and entropy, and that of the probs rounded to 12
-decimals.  A diff of two trees' output checks that a change keeps every
-verdict and every solution bit for bit; a diff without the sixth column,
-that it keeps the probs within 1e-12 (a prob within rounding of a 12th
-decimal's boundary can move the second hash too, so read the probs of a
-line that moves there):
+decimals.  The first line names the numpy version and the machine, since
+the cases are numpy draws.
 
-    python3 scripts/maxent_digest.py > after.txt
-    python3 scripts/maxent_digest.py --src ../parent/src > before.txt
-    diff before.txt after.txt
-    diff <(cut -f1-5,7 before.txt) <(cut -f1-5,7 after.txt)
+tests/golden/maxent_digest.txt holds this output, and tests/test_golden.py
+builds the digest in process and names the first line that moved.  A line
+that moves only in the fifth column keeps every verdict and the probs
+within 1e-12 (a prob within rounding of a 12th decimal's boundary can move
+the sixth column too, so read the probs of a line that moves there).  A
+change that moves lines on purpose rewrites the file in its own commit:
+
+    python3 scripts/maxent_digest.py > tests/golden/maxent_digest.txt
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
+import platform
 import sys
 import warnings
 from array import array
@@ -59,6 +60,12 @@ def problems():
             yield seed, trial, feats, np.append(targets, targets @ weights + shift)
 
 
+def header() -> str:
+    import numpy as np
+
+    return f"# numpy {np.__version__} on {platform.machine()}"
+
+
 def lines():
     """The digest line of every problem, solved by the phonodist on sys.path."""
     from phonodist.errors import PhonodistError
@@ -85,14 +92,8 @@ def lines():
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--src",
-        default=str(ROOT / "src"),
-        help="source tree holding the phonodist package (default: this checkout's src)",
-    )
-    args = parser.parse_args()
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    print(header())
     for line in lines():
         print(line)
 

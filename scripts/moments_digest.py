@@ -13,20 +13,23 @@ times the default law, thirteen concentrations from 1e-100 to 1e100 and
 the two ends of n's domain, 5e-3/(n-1) and 1e10, and n = 22 at alpha = 1,
 the unit-alpha case of perfbench's rank-curve workload, each at the
 levels 0.5, 0.95 and 0.999; the concentrations outside that domain read
-its NumericalError.  A diff of two trees' output checks that a change
-keeps every result bit for bit:
+its NumericalError.  The first line names the numpy version and the
+machine, since the hashes cover the bits of numpy's vectorised math.
 
-    python3 scripts/moments_digest.py > after.txt
-    python3 scripts/moments_digest.py --src ../parent/src > before.txt
-    diff before.txt after.txt
+tests/golden/moments_digest.txt holds this output, and
+tests/test_golden.py builds the digest in process and names the first line
+that moved.  A change that moves lines on purpose rewrites the file in its
+own commit:
 
-The run writes no bytecode, so it leaves no __pycache__ in either tree.
+    python3 scripts/moments_digest.py > tests/golden/moments_digest.txt
+
+The run writes no bytecode, so it leaves no __pycache__ in the tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
+import platform
 import sys
 from pathlib import Path
 
@@ -39,6 +42,12 @@ LEVELS = (0.5, 0.95, 0.999)
 
 def _digest(*arrays) -> str:
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
+
+
+def header() -> str:
+    import numpy as np
+
+    return f"# numpy {np.__version__} on {platform.machine()}"
 
 
 def lines():
@@ -73,15 +82,9 @@ def lines():
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--src",
-        default=str(ROOT / "src"),
-        help="source tree holding the phonodist package (default: this checkout's src)",
-    )
-    args = parser.parse_args()
     sys.dont_write_bytecode = True
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "src"))
+    print(header())
     for line in lines():
         print(line)
 

@@ -1,4 +1,5 @@
-"""Byte identity of the CLI artifacts on the bundled fixtures.
+"""Byte identity of the CLI artifacts on the bundled fixtures, and of the
+engine digests.
 
 Reruns every call of scripts/cli_digest.py and compares its exit code,
 stdout, stderr and -o file with the text committed under tests/golden/,
@@ -7,11 +8,18 @@ that moves an artifact on purpose rewrites the golden files from its own
 tree in the same commit:
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+Builds the digests of scripts/moments_digest.py and scripts/maxent_digest.py
+in process and compares them line by line with tests/golden/<script>.txt,
+whose first line names the numpy version and machine that made it; each
+script's docstring says how to rewrite its file.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 import phonodist
 
@@ -20,8 +28,8 @@ GOLDEN = ROOT / "tests" / "golden"
 TEXT = ("stdout", "stderr", "out")
 
 
-def _cli_digest():
-    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "scripts" / "cli_digest.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +41,7 @@ def _records():
     return [
         {**record, **{field: None if record[field] is None else record[field].splitlines(True)
                       for field in TEXT}}
-        for record in _cli_digest().run_calls(src)
+        for record in _script("cli_digest").run_calls(src)
     ]
 
 
@@ -56,6 +64,16 @@ def test_every_cli_artifact_matches_its_golden_file():
              for got, expected in zip(records, golden)
              for field in ("exit", *TEXT) if got[field] != expected[field]]
     assert not moved, "\n".join(moved)
+
+
+@pytest.mark.parametrize("name", ["moments_digest", "maxent_digest"])
+def test_engine_digest_matches_its_golden_file(name):
+    made_on, *expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+    script = _script(name)
+    got = list(script.lines())
+    if got != expected:
+        platforms = f"golden {made_on!r}, this run {script.header()!r}"
+        pytest.fail(f"{name} {_first_change(expected, got)} ({platforms})")
 
 
 if __name__ == "__main__":
