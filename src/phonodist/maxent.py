@@ -4,8 +4,7 @@ Maximizes Shannon entropy subject to normalization and fixed feature
 expectations.  The solution has the Gibbs form log p(x) = lambda0 +
 sum_k lambda_k f_k(x); the multipliers minimize the smooth convex dual
 D(lambda) = log Z(lambda) - lambda . c.  ``solve`` tests column ranges
-and the affine hull, then runs a safeguarded Newton iteration (a gradient
-step where the Newton step is no descent direction) that certifies
+and the affine hull, then runs a damped Newton iteration that certifies
 targets outside the convex hull by a separating direction.
 
 The rank of the centred features is decided once, by one SVD, and Newton
@@ -32,10 +31,14 @@ __all__ = [
     "solve",
 ]
 
-_MAX_ITER = 10_000
-_HULL_TOL = 1e-12
+# a vertex target moves lambda about one unit a step, and no p goes below
+# _TINY = e**-708: the slowest tested problem takes 692 steps, the sweeps 37
+_MAX_ITER = 1_000
 _CERT_TOL = 1e-9  # scale-relative slack of the feasibility certificates
 _EPS = 2.0**-52
+# a residual within _FLOOR eps (1 + max|s|) E_p|f_k - c_k| of 0 is rounding:
+# each p(x) carries a relative error of about eps |s(x)| from its score s(x)
+_FLOOR = 16
 _TINY = 2.2250738585072014e-308  # the smallest normal float
 # the Newton step drops the Hessian's singular values at or below this
 # share of the largest: Jacobi gets each to a few ulps of the largest, so
@@ -175,17 +178,17 @@ def _pinv_solve(triples, b, cut: float) -> list[float]:
 
 def _check(problem: MaxEntProblem) -> list[list[float]]:
     """Verify the targets lie in each column's range (naming a violating
-    direction) and in the affine hull of the feature rows; return an
-    orthonormal basis of the row space of the centred features C = F - 1
-    mean^T: C's right singular vectors with sigma > 1e-10 max(1, max|C|).
-    Any p with sum p = 1 gives F^T p = mean + C^T p, in mean plus that
-    space, so the hull test is the distance of c - mean from it."""
+    direction) and in the affine hull of the feature rows, both within
+    _CERT_TOL max(1, max|F|, max|c|); return an orthonormal basis of the
+    row space of the centred features C = F - 1 mean^T: C's right singular
+    vectors with sigma > 1e-10 max(1, max|C|).  Any p with sum p = 1 gives
+    F^T p = mean + C^T p, so the hull test is the distance of c - mean from it."""
     feats, targets = problem.features, problem.targets
     cols = list(zip(*feats))
+    slack = _CERT_TOL * max([1.0, *map(abs, chain(targets, *cols))])
     for k, (col, target) in enumerate(zip(cols, targets)):
         lo, hi = min(col), max(col)
-        span = max(hi - lo, 1.0)
-        if target < lo - _HULL_TOL * span or target > hi + _HULL_TOL * span:
+        if target < lo - slack or target > hi + slack:
             raise InfeasibleError(
                 f"target c[{k}]={target:.6g} outside feature column range "
                 f"[{lo:.6g}, {hi:.6g}] (violating hull direction: feature {k})"
@@ -202,7 +205,7 @@ def _check(problem: MaxEntProblem) -> list[list[float]]:
         w = _dot(v, off)
         off = [x - w * y for x, y in zip(off, v)]
     gap = math.hypot(*off)
-    if gap > _CERT_TOL * max(1.0, *map(abs, chain(targets, *cols))):
+    if gap > slack:
         raise InfeasibleError("targets are jointly infeasible on the simplex "
                               f"(off the affine hull by {gap:.3g})")
     return basis
@@ -261,9 +264,11 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     """Find the multipliers whose Gibbs distribution meets the targets.
 
     Converged when every constraint residual E[f_k] - c_k is within
-    ``tolerance`` in absolute value.  Newton runs in the coordinates beta
-    of lambda = sum_i beta_i basis_i on _check's basis, through which
-    alone lambda moves the distribution.  Each step first tries y = lambda
+    ``tolerance`` in absolute value or within the floats' floor
+    16 eps (1 + max|s|) E_p|f_k - c_k|, with s = lambda . (f - c) the
+    scores and eps = 2**-52.  Newton runs in the coordinates beta of
+    lambda = sum_i beta_i basis_i on _check's basis, through which alone
+    lambda moves the distribution.  Each step first tries y = lambda
     and y = -residual as separating directions: max_x y.(f(x) - c) < 0
     rules out every feasible p, for which sum_x p(x) y.(f(x) - c) = 0.
     """
@@ -284,6 +289,7 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
     beta = [0.0] * r
     unchecked = math.inf  # the residual before the last step taken without a line search
     shifted = [[x - c for x in col] for col, c in zip(cols, targets)]  # f(x) - c
+    spread = [list(map(abs, col)) for col in shifted]  # |f(x) - c|
     slack = _CERT_TOL * max(map(abs, chain(*shifted)))
     # the reduced columns g_i = basis_i . (f - c), with beta . g = lambda .
     # (f - c), and the products g_i g_j of each pair: the Hessian is their
@@ -297,7 +303,9 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
         mean = [_dot(col, probs) for col in cols]
         grad = list(map(sub, mean, targets))
         worst = max(map(abs, grad))
-        if worst <= tolerance:
+        floor = _FLOOR * _EPS * (1.0 + max(map(abs, scores)))
+        if all(abs(g) <= tolerance or abs(g) <= floor * _dot(a, probs)
+               for g, a in zip(grad, spread)):
             break
         if (max(scores) < -slack * math.fsum(map(abs, _combine(basis, beta, k)))
                 or min(_combine(shifted, grad, m)) > slack * math.fsum(map(abs, grad))):
@@ -314,32 +322,24 @@ def solve(problem: MaxEntProblem, tolerance: float = 1e-10) -> MaxEntSolution:
             svd = _svd(hess)
             step = [-x for x in _pinv_solve(svd, rgrad, _STEP_RCOND * max(s for s, _, _ in svd))]
         slope = _dot(rgrad, step)
-        if not (math.isfinite(slope) and slope < 0):
-            step = [-g for g in rgrad]
-            slope = -_dot(rgrad, rgrad)
-        # backtracking line search on the dual
-        if -slope <= 1e-13 * max(1.0, abs(d0)):
-            # predicted decrease is below the dual's floating-point
-            # resolution; inside the Newton basin, take the full step.
-            # Two such steps in a row that do not lower the residual only
-            # move beta in its last bits, and would repeat until _MAX_ITER
+        # backtracking line search on the dual while the predicted decrease
+        # is above the dual's floating-point resolution.  The slope -g.H+g
+        # is at most 0 on the positive semidefinite Hessian; where rounding
+        # of the formed Hessian leaves it at or above 0, no trial runs
+        t = 1.0
+        while -t * slope > 1e-13 * max(1.0, abs(d0)):
+            if _dual([x + t * s for x, s in zip(beta, step)], reduced, m) <= d0 + 1e-4 * t * slope:
+                unchecked = math.inf
+                break
+            t *= 0.5
+        else:
+            # a step the dual cannot check: inside the Newton basin, the
+            # full step.  Two such steps in a row that do not lower the
+            # residual only move beta in its last bits, and would repeat
             if worst >= unchecked:
                 raise NumericalError(f"no convergence: lambda stuck at iteration {iterations} "
                                      f"with residual {worst:.3g}")
             unchecked = worst
-            beta = [x + s for x, s in zip(beta, step)]
-            continue
-        t = 1.0
-        while t > 1e-14:
-            if _dual([x + t * s for x, s in zip(beta, step)], reduced, m) <= d0 + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        if t <= 1e-14:
-            # dual already flat along every direction we can compute
-            if worst <= 10 * tolerance:
-                break
-            raise NumericalError(f"line search stalled with residual {worst:.3g}")
-        unchecked = math.inf
         beta = [x + t * s for x, s in zip(beta, step)]
     else:
         raise NumericalError(f"no convergence within {_MAX_ITER} iterations")
