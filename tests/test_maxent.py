@@ -425,27 +425,32 @@ def _oracle_case(rng, kind, few_labels):
     return feats, targets
 
 
-def _checked_verdict(optimize, feats, targets):
-    """solve's verdict on one case, checked against HiGHS: InfeasibleError
-    exactly when no p >= 0 has sum p = 1 and F^T p = c, and residuals within
-    1e-10 otherwise."""
+def _highs_feasible(optimize, feats, targets):
+    """Whether HiGHS finds a p >= 0 with sum p = 1 and F^T p = c."""
     m = feats.shape[0]
-    lp = optimize.linprog(
+    return optimize.linprog(
         np.zeros(m),
         A_eq=np.vstack([np.ones(m), feats.T]),
         b_eq=np.concatenate([[1.0], targets]),
         bounds=(0, None),
         method="highs",
-    )
-    problem = MaxEntProblem(labels(m), feats, targets)
+    ).success
+
+
+def _checked_verdict(optimize, feats, targets):
+    """solve's verdict on one case, checked against HiGHS: InfeasibleError
+    exactly when no p >= 0 has sum p = 1 and F^T p = c, and residuals within
+    1e-10 otherwise."""
+    feasible = _highs_feasible(optimize, feats, targets)
+    problem = MaxEntProblem(labels(feats.shape[0]), feats, targets)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sol = solve(problem)
     except InfeasibleError as exc:
-        assert not lp.success, (feats, targets, exc)
+        assert not feasible, (feats, targets, exc)
         return next(name for name, phrase in _CERTIFICATES if phrase in str(exc))
-    assert lp.success, (feats, targets)
+    assert feasible, (feats, targets)
     assert np.max(np.abs(sol.residuals)) <= 1e-10
     return "converged"
 
@@ -526,7 +531,8 @@ def test_thin_face_target_sticks_above_its_floor():
         if trial % 3 == 1:
             rng.integers(feats.shape[1])
         elif trial % 3 == 2:
-            rng.normal(size=feats.shape[1]), rng.normal()
+            rng.normal(size=feats.shape[1])
+            rng.normal()
     with pytest.raises(NumericalError,
                        match=re.escape("lambda stuck at iteration 24 with residual 2.3e-10")):
         solve(MaxEntProblem(labels(4), feats, targets))
@@ -582,10 +588,7 @@ def test_sweep_converges_within_the_floor():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 sol = solve(MaxEntProblem(labels(m), feats, targets))
         except InfeasibleError as exc:
-            lp = optimize.linprog(np.zeros(m), A_eq=np.vstack([np.ones(m), feats.T]),
-                                  b_eq=np.concatenate([[1.0], targets]), bounds=(0, None),
-                                  method="highs")
-            assert not lp.success, (trial, exc)
+            assert not _highs_feasible(optimize, feats, targets), (trial, exc)
         except NumericalError as exc:
             assert "lambda stuck" in str(exc), (trial, exc)
             stuck.append(trial)
